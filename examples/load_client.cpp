@@ -8,8 +8,7 @@
 // perf regression fails the pipeline even when every request succeeded.
 //
 //   ./build/examples/smgcn_server --port 7070 &
-//   ./build/examples/load_client --port 7070 --connections 4 --duration-s 5 \
-//       --p99-budget-ms 50
+//   ./build/examples/load_client --port 7070 --connections 4 --duration-s 5 --p99-budget-ms 50
 #include <algorithm>
 #include <atomic>
 #include <chrono>

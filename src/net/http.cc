@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <utility>
 
+#include "src/audit/audit.h"
+#include "src/serve/status.h"
 #include "src/util/string_util.h"
 
 namespace smgcn {
@@ -17,6 +20,39 @@ std::string ToLower(std::string s) {
     return static_cast<char>(std::tolower(c));
   });
   return s;
+}
+
+/// Doubles in attribution JSON use %.17g so every f64 term round-trips
+/// exactly — the bit-exact reconstruction must survive the JSON hop.
+std::string JsonF64(double v) { return StrFormat("%.17g", v); }
+
+std::string AttributionJson(const audit::QueryAttribution& attr) {
+  std::string out = "{\"symptom_ids\":[";
+  for (std::size_t i = 0; i < attr.symptom_ids.size(); ++i) {
+    if (i > 0) out += ",";
+    out += StrFormat("%d", attr.symptom_ids[i]);
+  }
+  out += "],\"herbs\":[";
+  for (std::size_t i = 0; i < attr.herbs.size(); ++i) {
+    const audit::HerbAttribution& herb = attr.herbs[i];
+    if (i > 0) out += ",";
+    out += StrFormat(
+        "{\"herb_id\":%zu,\"score\":%s,\"bipar\":%s,\"synergy\":%s,"
+        "\"pool_bias\":%s,\"pool_residual\":%s,\"has_components\":%s,"
+        "\"exact\":%s,\"per_symptom\":[",
+        herb.herb_id, JsonF64(herb.score).c_str(),
+        JsonF64(herb.bipar).c_str(), JsonF64(herb.synergy).c_str(),
+        JsonF64(herb.pool_bias).c_str(), JsonF64(herb.pool_residual).c_str(),
+        herb.has_components ? "true" : "false",
+        herb.exact ? "true" : "false");
+    for (std::size_t s = 0; s < herb.per_symptom.size(); ++s) {
+      if (s > 0) out += ",";
+      out += JsonF64(herb.per_symptom[s]);
+    }
+    out += "]}";
+  }
+  out += "]}";
+  return out;
 }
 
 }  // namespace
@@ -190,6 +226,118 @@ std::string JsonEscape(const std::string& s) {
     }
   }
   return out;
+}
+
+bool ParseRecommendRequest(const Request& request, serve::Request* serving,
+                           serve::Response* error) {
+  error->status = serve::StatusCode::kInvalidArgument;
+  const auto symptoms = request.query.find("symptoms");
+  if (symptoms == request.query.end()) {
+    error->message = "missing required query parameter 'symptoms'";
+    return false;
+  }
+  auto ids = ParseIntList(symptoms->second);
+  if (!ids.ok()) {
+    error->message = ids.status().message();
+    return false;
+  }
+  serving->symptoms = *std::move(ids);
+  serving->top_k = 10;
+  const auto param = [&request](const char* name) -> const std::string* {
+    const auto it = request.query.find(name);
+    return it == request.query.end() ? nullptr : &it->second;
+  };
+  if (const std::string* k = param("k")) {
+    serving->top_k =
+        static_cast<std::size_t>(std::strtoul(k->c_str(), nullptr, 10));
+  }
+  if (const std::string* d = param("deadline_ms")) {
+    serving->deadline_ms = std::strtod(d->c_str(), nullptr);
+  }
+  if (const std::string* m = param("model")) serving->model = *m;
+  if (const std::string* v = param("version")) serving->version = *v;
+  if (const std::string* a = param("attribution")) {
+    serving->attribution = *a == "1" || *a == "true";
+  }
+  // Correlation id: the query parameter wins over the X-Request-Id header;
+  // both are optional (the engine mints one when absent).
+  if (const std::string* r = param("request_id")) {
+    serving->request_id = *r;
+  } else if (const auto h = request.headers.find("x-request-id");
+             h != request.headers.end()) {
+    serving->request_id = h->second;
+  }
+  if (serving->top_k == 0) {
+    error->message = "k must be >= 1";
+    return false;
+  }
+  return true;
+}
+
+std::string FormatRecommendResponse(const serve::Response& response,
+                                    bool keep_alive) {
+  std::string ids_json;
+  for (std::size_t i = 0; i < response.herb_ids.size(); ++i) {
+    if (i > 0) ids_json += ",";
+    ids_json += StrFormat("%zu", response.herb_ids[i]);
+  }
+  std::string attribution_json;
+  if (response.attribution.has_value()) {
+    attribution_json =
+        ",\"attribution\":" + AttributionJson(*response.attribution);
+  }
+  const std::string body = StrFormat(
+      "{\"status\":\"%s\",\"model\":\"%s\",\"version\":\"%s\","
+      "\"request_id\":\"%s\",\"herb_ids\":[%s],\"message\":\"%s\"%s}\n",
+      serve::StatusCodeName(response.status),
+      JsonEscape(response.model).c_str(),
+      JsonEscape(response.version).c_str(),
+      JsonEscape(response.request_id).c_str(), ids_json.c_str(),
+      JsonEscape(response.message).c_str(), attribution_json.c_str());
+  std::vector<std::pair<std::string, std::string>> extra;
+  if (!response.request_id.empty()) {
+    extra.emplace_back("X-Request-Id", response.request_id);
+  }
+  return FormatResponse(serve::HttpStatusFor(response.status),
+                              "application/json", body, keep_alive, extra);
+}
+
+
+std::string ModelsJson(const std::vector<serve::ModelInfo>& models) {
+  std::string body = "{\"models\":[";
+  bool first_model = true;
+  for (const auto& model : models) {
+    if (!first_model) body += ",";
+    first_model = false;
+    body += StrFormat("{\"name\":\"%s\",\"active_version\":\"%s\","
+                      "\"versions\":[",
+                      JsonEscape(model.name).c_str(),
+                      JsonEscape(model.active_version).c_str());
+    for (std::size_t i = 0; i < model.versions.size(); ++i) {
+      const auto& v = model.versions[i];
+      if (i > 0) body += ",";
+      body += StrFormat(
+          "{\"version\":\"%s\",\"active\":%s,\"num_symptoms\":%zu,"
+          "\"num_herbs\":%zu,\"dim\":%zu}",
+          JsonEscape(v.version).c_str(), v.active ? "true" : "false",
+          v.num_symptoms, v.num_herbs, v.dim);
+    }
+    body += "]}";
+  }
+  body += "]}\n";
+  return body;
+}
+
+std::string SlowLogText(const serve::ModelManager& manager) {
+  std::string body;
+  for (const auto& model : manager.ListModels()) {
+    auto engine = manager.Engine(model.name);
+    if (!engine.ok()) continue;
+    for (const auto& record : (*engine)->slow_query_log().Snapshot()) {
+      body += model.name + " " + record.ToString() + "\n";
+    }
+  }
+  return body;
 }
 
 }  // namespace http

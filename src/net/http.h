@@ -2,7 +2,9 @@
 // /metrics, /v1/recommend, ...) to curl, Prometheus scrapers and load
 // balancer health checks — no external dependency, no chunked encoding, no
 // request bodies. The binary protocol (wire.h) is the data plane; HTTP is
-// the human/ops plane.
+// the human/ops plane. ParseRecommendRequest / FormatRecommendResponse map
+// GET /v1/recommend onto serve::Request / serve::Response and back;
+// ModelsJson and SlowLogText render GET /v1/models and GET /slowlog.
 #ifndef SMGCN_NET_HTTP_H_
 #define SMGCN_NET_HTTP_H_
 
@@ -12,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/serve/model_manager.h"
+#include "src/serve/request.h"
 #include "src/util/status.h"
 
 namespace smgcn {
@@ -56,6 +60,28 @@ const char* ReasonPhrase(int status);
 
 /// Parses "1,4,9" into ints; InvalidArgument on empty or non-numeric parts.
 Result<std::vector<int>> ParseIntList(const std::string& csv);
+
+/// Reads GET /v1/recommend's query — symptoms=1,4,9 (required), k
+/// (default 10), deadline_ms, model, version, attribution=1|true,
+/// request_id (else the X-Request-Id header) — into `serving`. False, with
+/// `error` filled, when the request cannot reach an engine (missing or
+/// malformed symptoms, k == 0).
+bool ParseRecommendRequest(const Request& request, serve::Request* serving,
+                           serve::Response* error);
+
+/// The full /v1/recommend response: `response` as JSON (attribution
+/// doubles at %.17g, so the bit-exact reconstruction survives the hop), an
+/// HTTP status mirroring the serving status (serve::HttpStatusFor) and the
+/// correlation id echoed in X-Request-Id.
+std::string FormatRecommendResponse(const serve::Response& response,
+                                    bool keep_alive);
+
+/// The GET /v1/models body: every hosted model with its retained versions.
+std::string ModelsJson(const std::vector<serve::ModelInfo>& models);
+
+/// The GET /slowlog body: every hosted model's recent slow queries, one
+/// line each, prefixed with the model name.
+std::string SlowLogText(const serve::ModelManager& manager);
 
 /// Minimal JSON string escaping (quotes, backslashes, control chars).
 std::string JsonEscape(const std::string& s);

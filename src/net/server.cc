@@ -1,19 +1,25 @@
 #include "src/net/server.h"
 
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <chrono>
-#include <cstdlib>
+#include <cstring>
 #include <deque>
-#include <future>
+#include <optional>
+#include <string_view>
 #include <utility>
 
-#include "src/audit/audit.h"
 #include "src/net/wire.h"
 #include "src/serve/status.h"
-#include "src/util/logging.h"
 #include "src/util/string_util.h"
 
 namespace smgcn {
@@ -21,20 +27,72 @@ namespace net {
 
 namespace {
 
-/// Lowercase instrument segment per status ("ok", "invalid_argument", ...).
-std::string StatusSegment(serve::StatusCode code) {
-  std::string name = serve::StatusCodeName(code);
-  for (char& c : name) {
-    c = c == ' ' ? '_' : static_cast<char>(std::tolower(c));
-  }
-  return name;
+using Clock = std::chrono::steady_clock;
+using Bytes = std::vector<std::uint8_t>;
+
+/// The loop's epoll_wait timeout and so the granularity of the idle and
+/// write deadlines it sweeps.
+constexpr int kSweepMs = 20;
+/// Bytes per read(); a full read is repeated, a short one waits for epoll.
+constexpr std::size_t kReadChunk = 64 * 1024;
+/// Responses gathered into one sendmsg.
+constexpr int kMaxIov = 64;
+
+bool Watch(int epoll_fd, int op, int fd, std::uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  return ::epoll_ctl(epoll_fd, op, fd, &ev) == 0;
 }
 
-/// How long a connection read waits per poll slice. Short enough that a
-/// blocked reader notices draining_ promptly, long enough to stay cheap.
-constexpr int kPollSliceMs = 50;
+Bytes ToBytes(const std::string& s) { return Bytes(s.begin(), s.end()); }
+
+/// A frame answering `status` — a protocol error, or an unencodable
+/// response (unreachable: messages are bounded upstream) — in place of a
+/// request's answer, so the stream stays in sync.
+Bytes ErrorFrame(const Status& status) {
+  serve::Response error;
+  error.status = serve::FromInternalStatus(status);
+  error.message = status.message();
+  return *wire::EncodeResponse(error);
+}
+
+Bytes Frame(const serve::Response& response) {
+  auto frame = wire::EncodeResponse(response);
+  return frame.ok() ? *std::move(frame) : ErrorFrame(frame.status());
+}
 
 }  // namespace
+
+/// One accepted socket. Only the loop thread touches its fields; engine
+/// callbacks just hold the shared_ptr, so an answer for a connection the
+/// loop already closed lands harmlessly and is dropped.
+struct Server::Conn {
+  OwnedFd fd;
+  enum class Proto : std::uint8_t { kSniff, kBinary, kHttp } proto =
+      Proto::kSniff;
+  Bytes in;  // read, not yet decoded
+  /// Admitted requests in order, each response once it is ready (nullopt
+  /// while in flight); the front may be partly written.
+  std::deque<std::optional<Bytes>> out;
+  std::size_t out_pos = 0;      // bytes of out.front() already written
+  std::uint64_t front_seq = 0;  // sequence number of out.front()
+  std::uint32_t events = EPOLLIN;  // current epoll interest
+  bool eof = false;                // peer shut its write side
+  bool close_after_flush = false;  // protocol error or Connection: close
+  bool paused = false;  // became readable with max_pipeline outstanding
+  bool blocked = false;  // waiting for EPOLLOUT
+  bool closed = false;
+  Clock::time_point idle_deadline;
+  Clock::time_point write_deadline = Clock::time_point::max();
+};
+
+struct Server::Completion {
+  std::shared_ptr<Conn> conn;
+  std::uint64_t seq = 0;
+  serve::StatusCode status = serve::StatusCode::kOk;
+  Bytes frame;
+};
 
 Result<std::unique_ptr<Server>> Server::Start(serve::ModelManager* manager,
                                               ServerOptions options) {
@@ -51,34 +109,49 @@ Result<std::unique_ptr<Server>> Server::Start(serve::ModelManager* manager,
   ASSIGN_OR_RETURN(OwnedFd listen_fd,
                    ListenTcp(options.host, options.port, options.listen_backlog,
                              &port, options.recv_buffer_bytes));
+  OwnedFd epoll_fd(::epoll_create1(EPOLL_CLOEXEC));
+  OwnedFd wake_fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
+  if (!epoll_fd.valid() || !wake_fd.valid() ||
+      ::fcntl(listen_fd.get(), F_SETFL, O_NONBLOCK) != 0 ||
+      !Watch(epoll_fd.get(), EPOLL_CTL_ADD, listen_fd.get(), EPOLLIN) ||
+      !Watch(epoll_fd.get(), EPOLL_CTL_ADD, wake_fd.get(), EPOLLIN)) {
+    return Status::IoError(
+        StrFormat("event loop set-up failed: %s", std::strerror(errno)));
+  }
   return std::unique_ptr<Server>(
-      new Server(manager, std::move(options), std::move(listen_fd), port));
+      new Server(manager, std::move(options), std::move(listen_fd), port,
+                 std::move(epoll_fd), std::move(wake_fd)));
 }
 
 Server::Server(serve::ModelManager* manager, ServerOptions options,
-               OwnedFd listen_fd, std::uint16_t port)
+               OwnedFd listen_fd, std::uint16_t port, OwnedFd epoll_fd,
+               OwnedFd wake_fd)
     : manager_(manager),
       options_(std::move(options)),
       listen_fd_(std::move(listen_fd)),
       port_(port),
       obs_prefix_(obs::Registry::Global().NextScopeId("net.server")),
-      connections_(
-          obs::Registry::Global().GetCounter(obs_prefix_ + "connections")),
-      rejected_connections_(obs::Registry::Global().GetCounter(
-          obs_prefix_ + "rejected_connections")),
-      http_requests_(
-          obs::Registry::Global().GetCounter(obs_prefix_ + "http_requests")),
-      binary_requests_(
-          obs::Registry::Global().GetCounter(obs_prefix_ + "binary_requests")),
-      protocol_errors_(
-          obs::Registry::Global().GetCounter(obs_prefix_ + "protocol_errors")) {
-  responses_by_status_.reserve(serve::kMaxWireStatusByte + 1);
+      epoll_fd_(std::move(epoll_fd)),
+      wake_fd_(std::move(wake_fd)) {
+  obs::Registry& registry = obs::Registry::Global();
+  connections_ = registry.GetCounter(obs_prefix_ + "connections");
+  rejected_connections_ =
+      registry.GetCounter(obs_prefix_ + "rejected_connections");
+  http_requests_ = registry.GetCounter(obs_prefix_ + "http_requests");
+  binary_requests_ = registry.GetCounter(obs_prefix_ + "binary_requests");
+  protocol_errors_ = registry.GetCounter(obs_prefix_ + "protocol_errors");
+  open_connections_ = registry.GetGauge(obs_prefix_ + "open_connections");
   for (std::uint8_t b = 0; b <= serve::kMaxWireStatusByte; ++b) {
-    responses_by_status_.push_back(obs::Registry::Global().GetCounter(
-        obs_prefix_ + "responses." +
-        StatusSegment(static_cast<serve::StatusCode>(b))));
+    // Lowercase segment per status: "ok", "invalid_argument", ...
+    std::string name =
+        serve::StatusCodeName(static_cast<serve::StatusCode>(b));
+    for (char& c : name) {
+      c = c == ' ' ? '_' : static_cast<char>(std::tolower(c));
+    }
+    responses_by_status_.push_back(
+        registry.GetCounter(obs_prefix_ + "responses." + name));
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  loop_thread_ = std::thread([this] { Loop(); });
 }
 
 Server::~Server() { Stop(); }
@@ -86,18 +159,9 @@ Server::~Server() { Stop(); }
 void Server::Stop() {
   std::call_once(stop_once_, [this] {
     draining_.store(true, std::memory_order_release);
-    // Closing the listener wakes the accept poll immediately; connection
-    // loops notice draining_ within one poll slice.
-    listen_fd_.Reset();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    std::vector<std::thread> threads;
-    {
-      std::lock_guard<std::mutex> lock(threads_mu_);
-      threads.swap(connection_threads_);
-    }
-    for (std::thread& t : threads) {
-      if (t.joinable()) t.join();
-    }
+    const std::uint64_t one = 1;
+    (void)!::write(wake_fd_.get(), &one, sizeof(one));
+    loop_thread_.join();
   });
 }
 
@@ -105,400 +169,334 @@ void Server::CountResponse(serve::StatusCode status) {
   responses_by_status_[serve::ToWireByte(status)]->Increment();
 }
 
-void Server::AcceptLoop() {
-  while (!draining_.load(std::memory_order_acquire)) {
-    const Status ready = WaitReadable(listen_fd_.get(), kPollSliceMs);
-    if (!ready.ok()) {
-      if (ready.code() == StatusCode::kDeadlineExceeded) continue;
-      break;  // listener closed (Stop) or failed
-    }
-    OwnedFd conn(::accept(listen_fd_.get(), nullptr, nullptr));
-    if (!conn.valid()) continue;
-    if (draining_.load(std::memory_order_acquire)) break;
-    if (live_connections_.load(std::memory_order_acquire) >=
-        options_.max_connections) {
-      // Beyond capacity the cheapest honest answer is a refused
-      // connection: anything smarter would need a thread we don't have.
-      rejected_connections_->Increment();
-      continue;  // conn closes via RAII
-    }
-    connections_->Increment();
-    live_connections_.fetch_add(1, std::memory_order_acq_rel);
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    connection_threads_.emplace_back(
-        [this, fd = std::move(conn)]() mutable { ServeConnection(std::move(fd)); });
-  }
-}
-
-void Server::ServeConnection(OwnedFd fd) {
-  const auto peeked = PeekByte(fd.get(), options_.idle_timeout_ms);
-  if (peeked.ok()) {
-    if (*peeked == wire::kRequestMagic) {
-      ServeBinary(fd.get());
-    } else {
-      ServeHttp(fd.get(), *peeked);
-    }
-  }
-  live_connections_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void Server::ServeBinary(int fd) {
-  // In-order pipelining: admitted requests' futures queue here; responses
-  // are written oldest-first, so the client can match by position.
-  std::deque<std::future<serve::Response>> inflight;
-  const auto flush_one = [&]() -> Status {
-    serve::Response response = inflight.front().get();
-    inflight.pop_front();
-    auto frame = wire::EncodeResponse(response);
-    if (!frame.ok()) {
-      // Unencodable response (messages are bounded upstream, so this is
-      // effectively unreachable); close rather than desync the stream.
-      return frame.status();
-    }
-    CountResponse(response.status);
-    return WriteAll(fd, frame->data(), frame->size(),
-                    options_.write_timeout_ms);
-  };
-  const auto flush_all = [&]() -> Status {
-    while (!inflight.empty()) RETURN_IF_ERROR(flush_one());
-    return Status::OK();
-  };
-
+void Server::Loop() {
+  epoll_event events[64];
+  Clock::time_point next_sweep = Clock::now();
   while (true) {
-    if (draining_.load(std::memory_order_acquire)) {
-      // Drain: everything admitted is answered, nothing new is read.
-      (void)flush_all();
-      return;
-    }
-    // Flush whatever already resolved, then prefer reading: buffered
-    // frames must reach admission control promptly (a full queue sheds at
-    // admission, not after a batch window). Only when the socket is idle
-    // does the loop wait on the oldest response — a closed-loop client is
-    // blocked on it. That wait is a SHORT slice with the socket re-checked
-    // in between: on loopback the receive buffer refills only after an ACK
-    // round trip, so a momentarily-empty socket under load does not mean
-    // the peer went quiet, and a long future-wait here would pace reads at
-    // the service rate while requests age in kernel buffers. Every wait is
-    // bounded so drain is noticed.
-    while (!inflight.empty() &&
-           inflight.front().wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready) {
-      if (!flush_one().ok()) return;
-    }
-    Status readable = WaitReadable(fd, 0);
-    if (!readable.ok() && readable.code() == StatusCode::kDeadlineExceeded) {
-      if (!inflight.empty()) {
-        if (inflight.front().wait_for(std::chrono::milliseconds(1)) ==
-            std::future_status::ready) {
-          if (!flush_one().ok()) return;
+    const int n = ::epoll_wait(epoll_fd_.get(), events, 64, kSweepMs);
+    for (int i = 0; i < n; ++i) {
+      const int fd = events[i].data.fd;
+      if (fd == wake_fd_.get()) {
+        std::uint64_t count = 0;
+        (void)!::read(fd, &count, sizeof(count));
+      } else if (fd == listen_fd_.get()) {
+        Accept();
+      } else if (const auto it = conns_.find(fd); it != conns_.end()) {
+        const std::shared_ptr<Conn> conn = it->second;
+        if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
+          Close(*conn);  // reset by the peer: nothing can be delivered
+          continue;
         }
-        continue;
-      }
-      readable = WaitReadable(fd, kPollSliceMs);
-      if (!readable.ok() && readable.code() == StatusCode::kDeadlineExceeded) {
-        continue;
+        if ((events[i].events & EPOLLIN) != 0) Read(*conn);
+        if (!conn->closed) Settle(conn);
       }
     }
-    if (!readable.ok()) {
-      (void)flush_all();
-      return;
+    while (DrainCompletions()) {
     }
-    std::uint8_t header[wire::kHeaderBytes];
-    if (!ReadExact(fd, header, sizeof(header), options_.idle_timeout_ms)
-             .ok()) {
-      (void)flush_all();
-      return;
+    const bool draining = draining_.load(std::memory_order_acquire);
+    if (draining && listen_fd_.valid()) {
+      // Drain: refuse new connections and sweep now, closing connections
+      // with nothing outstanding; Settle stops reading from the rest and
+      // closes each once its admitted answers have flushed.
+      listen_fd_.Reset();  // closing also leaves the epoll set
+      next_sweep = Clock::time_point();
     }
-    std::uint32_t payload_len = 0;
-    std::uint8_t wire_version = 0;
-    const Status head_status =
-        wire::DecodeHeader(header, wire::kRequestMagic, &payload_len,
-                           &wire_version);
-    if (!head_status.ok()) {
-      // Malformed or oversized frame: the stream cannot be resynced, so
-      // answer with one well-formed error frame and close.
-      protocol_errors_->Increment();
-      serve::Response error;
-      error.status = serve::FromInternalStatus(head_status);
-      error.message = head_status.message();
-      (void)flush_all();
-      if (auto frame = wire::EncodeResponse(error); frame.ok()) {
-        CountResponse(error.status);
-        (void)WriteAll(fd, frame->data(), frame->size(),
-                       options_.write_timeout_ms);
+    const Clock::time_point now = Clock::now();
+    if (now >= next_sweep) {
+      next_sweep = now + std::chrono::milliseconds(kSweepMs);
+      std::vector<Conn*> expired;
+      for (const auto& [fd, conn] : conns_) {
+        if (now >= conn->write_deadline ||
+            (conn->out.empty() && (draining || now >= conn->idle_deadline))) {
+          expired.push_back(conn.get());
+        }
       }
-      return;
+      for (Conn* conn : expired) Close(*conn);
     }
-    std::vector<std::uint8_t> payload(payload_len);
-    if (payload_len > 0 &&
-        !ReadExact(fd, payload.data(), payload.size(),
-                   options_.idle_timeout_ms)
-             .ok()) {
-      (void)flush_all();
-      return;
-    }
-    binary_requests_->Increment();
-    auto request = wire::DecodeRequestPayload(payload.data(), payload.size(),
-                                              wire_version);
-    if (!request.ok()) {
-      // Framing held but the payload is malformed: answer in-stream (in
-      // order) and keep the connection — the next frame is parseable.
-      protocol_errors_->Increment();
-      serve::Response error;
-      error.status = serve::StatusCode::kInvalidArgument;
-      error.message = request.status().message();
-      std::promise<serve::Response> ready;
-      ready.set_value(std::move(error));
-      inflight.push_back(ready.get_future());
-    } else {
-      inflight.push_back(manager_->SubmitRequest(*std::move(request)));
-    }
-    // Backpressure: past max_pipeline the reader stops and waits for the
-    // oldest response, so one connection cannot queue unboundedly.
-    while (inflight.size() >= options_.max_pipeline) {
-      if (!flush_one().ok()) return;
-    }
-    // Opportunistically flush whatever is already resolved.
-    while (!inflight.empty() &&
-           inflight.front().wait_for(std::chrono::seconds(0)) ==
-               std::future_status::ready) {
-      if (!flush_one().ok()) return;
-    }
+    if (draining && outstanding_ == 0 && conns_.empty()) return;
   }
 }
 
-namespace {
-
-/// Doubles in attribution JSON use %.17g so every f64 term round-trips
-/// exactly — the bit-exact reconstruction must survive the JSON hop.
-std::string JsonF64(double v) { return StrFormat("%.17g", v); }
-
-std::string AttributionJson(const audit::QueryAttribution& attr) {
-  std::string out = "{\"symptom_ids\":[";
-  for (std::size_t i = 0; i < attr.symptom_ids.size(); ++i) {
-    if (i > 0) out += ",";
-    out += StrFormat("%d", attr.symptom_ids[i]);
-  }
-  out += "],\"herbs\":[";
-  for (std::size_t i = 0; i < attr.herbs.size(); ++i) {
-    const audit::HerbAttribution& herb = attr.herbs[i];
-    if (i > 0) out += ",";
-    out += StrFormat(
-        "{\"herb_id\":%zu,\"score\":%s,\"bipar\":%s,\"synergy\":%s,"
-        "\"pool_bias\":%s,\"pool_residual\":%s,\"has_components\":%s,"
-        "\"exact\":%s,\"per_symptom\":[",
-        herb.herb_id, JsonF64(herb.score).c_str(),
-        JsonF64(herb.bipar).c_str(), JsonF64(herb.synergy).c_str(),
-        JsonF64(herb.pool_bias).c_str(), JsonF64(herb.pool_residual).c_str(),
-        herb.has_components ? "true" : "false",
-        herb.exact ? "true" : "false");
-    for (std::size_t s = 0; s < herb.per_symptom.size(); ++s) {
-      if (s > 0) out += ",";
-      out += JsonF64(herb.per_symptom[s]);
+void Server::Accept() {
+  while (true) {
+    OwnedFd fd(::accept4(listen_fd_.get(), nullptr, nullptr,
+                         SOCK_NONBLOCK | SOCK_CLOEXEC));
+    if (!fd.valid()) return;  // backlog drained
+    if (conns_.size() >= options_.max_connections) {
+      // Beyond capacity the cheapest honest answer is a refused connection.
+      rejected_connections_->Increment();
+      continue;  // closes via RAII
     }
-    out += "]}";
+    const int one = 1;
+    (void)::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    if (!Watch(epoll_fd_.get(), EPOLL_CTL_ADD, fd.get(), EPOLLIN)) continue;
+    connections_->Increment();
+    auto conn = std::make_shared<Conn>();
+    conn->fd = std::move(fd);
+    conn->idle_deadline =
+        Clock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
+    conns_.emplace(conn->fd.get(), conn);
+    open_connections_->Set(static_cast<double>(conns_.size()));
   }
-  out += "]}";
-  return out;
 }
 
-}  // namespace
+void Server::Read(Conn& c) {
+  if (c.out.size() >= options_.max_pipeline) {
+    c.paused = true;  // backpressure: leave the bytes in the kernel
+    return;
+  }
+  std::uint8_t buf[kReadChunk];
+  ssize_t n = static_cast<ssize_t>(kReadChunk);
+  while (n == static_cast<ssize_t>(kReadChunk)) {
+    n = ::read(c.fd.get(), buf, kReadChunk);
+    if (n > 0) c.in.insert(c.in.end(), buf, buf + n);
+  }
+  if (n == 0) c.eof = true;  // answer what was admitted, then close
+  if (n < 0 && errno != EAGAIN && errno != EINTR) return Close(c);
+  c.idle_deadline =
+      Clock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
+  if (c.proto == Conn::Proto::kSniff && !c.in.empty()) {
+    c.proto = c.in[0] == wire::kRequestMagic ? Conn::Proto::kBinary
+                                             : Conn::Proto::kHttp;
+  }
+}
 
-std::string Server::RecommendJson(const http::Request& request,
-                                  int* http_status,
-                                  std::string* request_id_out) {
-  serve::Request serving;
-  const auto symptoms = request.query.find("symptoms");
-  serve::Response response;
-  if (symptoms == request.query.end()) {
-    response.status = serve::StatusCode::kInvalidArgument;
-    response.message = "missing required query parameter 'symptoms'";
+void Server::Settle(const std::shared_ptr<Conn>& conn) {
+  Conn& c = *conn;
+  const bool draining = draining_.load(std::memory_order_acquire);
+  Flush(c);  // written answers first make room for buffered requests
+  if (!c.closed && !draining && c.proto != Conn::Proto::kSniff) {
+    std::size_t pos = 0;
+    while (!c.close_after_flush && c.out.size() < options_.max_pipeline &&
+           (c.proto == Conn::Proto::kBinary ? DecodeFrame(conn, &pos)
+                                            : DecodeHead(conn, &pos))) {
+    }
+    c.in.erase(c.in.begin(), c.in.begin() + static_cast<std::ptrdiff_t>(pos));
+    Flush(c);  // answers the loop wrote itself (errors, ops endpoints)
+  }
+  if (c.closed) return;
+  if (c.out.empty() && (c.close_after_flush || c.eof || draining)) {
+    return Close(c);
+  }
+  if (c.out.size() < options_.max_pipeline) c.paused = false;
+  const bool read = !c.eof && !c.close_after_flush && !draining && !c.paused;
+  const std::uint32_t events =
+      (read ? EPOLLIN : 0u) | (c.blocked ? EPOLLOUT : 0u);
+  if (events != c.events) {
+    c.events = events;
+    (void)Watch(epoll_fd_.get(), EPOLL_CTL_MOD, c.fd.get(), events);
+  }
+}
+
+template <typename Encode>
+void Server::Admit(const std::shared_ptr<Conn>& conn, serve::Request request,
+                   Encode encode) {
+  const std::uint64_t seq = conn->front_seq + conn->out.size();
+  conn->out.emplace_back();
+  ++outstanding_;
+  manager_->SubmitRequest(
+      std::move(request),
+      [this, conn, seq, encode](serve::Response response) mutable {
+        Complete(std::move(conn), seq, response.status, encode(response));
+      });
+}
+
+bool Server::DecodeFrame(const std::shared_ptr<Conn>& conn, std::size_t* pos) {
+  Conn& c = *conn;
+  const auto reject = [this, &c](const Status& status) {
+    protocol_errors_->Increment();
+    CountResponse(serve::FromInternalStatus(status));
+    c.out.emplace_back(ErrorFrame(status));
+  };
+  if (c.in.size() - *pos < wire::kHeaderBytes) return false;
+  std::uint32_t payload_len = 0;
+  std::uint8_t wire_version = 0;
+  const Status head = wire::DecodeHeader(
+      c.in.data() + *pos, wire::kRequestMagic, &payload_len, &wire_version);
+  if (!head.ok()) {
+    // Malformed or oversized frame: the stream cannot be resynced, so
+    // answer with one well-formed error frame (in order) and close.
+    reject(head);
+    c.close_after_flush = true;
+    return false;
+  }
+  if (c.in.size() - *pos - wire::kHeaderBytes < payload_len) return false;
+  binary_requests_->Increment();
+  auto request = wire::DecodeRequestPayload(
+      c.in.data() + *pos + wire::kHeaderBytes, payload_len, wire_version);
+  *pos += wire::kHeaderBytes + payload_len;
+  if (request.ok()) {
+    Admit(conn, *std::move(request), Frame);
   } else {
-    auto ids = http::ParseIntList(symptoms->second);
-    if (!ids.ok()) {
-      response.status = serve::StatusCode::kInvalidArgument;
-      response.message = ids.status().message();
-    } else {
-      serving.symptoms = *std::move(ids);
-      serving.top_k = 10;
-      if (const auto k = request.query.find("k"); k != request.query.end()) {
-        serving.top_k = static_cast<std::size_t>(
-            std::strtoul(k->second.c_str(), nullptr, 10));
+    // Framing held but the payload is malformed: answer in order and keep
+    // the connection — the next frame is parseable.
+    reject(request.status());
+  }
+  return true;
+}
+
+void Server::Flush(Conn& c) {
+  while (!c.out.empty() && c.out.front().has_value()) {
+    iovec iov[kMaxIov];
+    int count = 0;
+    for (auto it = c.out.begin();
+         it != c.out.end() && it->has_value() && count < kMaxIov; ++it) {
+      const std::size_t skip = count == 0 ? c.out_pos : 0;
+      iov[count++] = {(*it)->data() + skip, (*it)->size() - skip};
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = static_cast<std::size_t>(count);
+    const ssize_t sent = ::sendmsg(c.fd.get(), &msg, MSG_NOSIGNAL);
+    if (sent < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN) return Close(c);
+      if (!c.blocked) {  // the client is not reading: wait, but not forever
+        c.blocked = true;
+        c.write_deadline = Clock::now() +
+                           std::chrono::milliseconds(options_.write_timeout_ms);
       }
-      if (const auto d = request.query.find("deadline_ms");
-          d != request.query.end()) {
-        serving.deadline_ms = std::strtod(d->second.c_str(), nullptr);
-      }
-      if (const auto m = request.query.find("model");
-          m != request.query.end()) {
-        serving.model = m->second;
-      }
-      if (const auto v = request.query.find("version");
-          v != request.query.end()) {
-        serving.version = v->second;
-      }
-      if (const auto a = request.query.find("attribution");
-          a != request.query.end()) {
-        serving.attribution = a->second == "1" || a->second == "true";
-      }
-      // Correlation id: the query parameter wins over the X-Request-Id
-      // header; both are optional (the engine mints one when absent).
-      if (const auto r = request.query.find("request_id");
-          r != request.query.end()) {
-        serving.request_id = r->second;
-      } else if (const auto h = request.headers.find("x-request-id");
-                 h != request.headers.end()) {
-        serving.request_id = h->second;
-      }
-      if (serving.top_k == 0) {
-        response.status = serve::StatusCode::kInvalidArgument;
-        response.message = "k must be >= 1";
-      } else {
-        // Ride the async path: HTTP requests micro-batch with binary and
-        // in-process traffic and obey the same admission control.
-        response = manager_->SubmitRequest(std::move(serving)).get();
+      return;
+    }
+    c.blocked = false;  // progress: the next EAGAIN restarts the deadline
+    for (auto left = static_cast<std::size_t>(sent); left > 0;) {
+      const std::size_t take =
+          std::min(left, c.out.front()->size() - c.out_pos);
+      left -= take;
+      c.out_pos += take;
+      if (c.out_pos == c.out.front()->size()) {
+        c.out.pop_front();
+        c.out_pos = 0;
+        ++c.front_seq;
       }
     }
   }
-  *http_status = serve::HttpStatusFor(response.status);
-  *request_id_out = response.request_id;
-  CountResponse(response.status);
-  std::string ids_json;
-  for (std::size_t i = 0; i < response.herb_ids.size(); ++i) {
-    if (i > 0) ids_json += ",";
-    ids_json += StrFormat("%zu", response.herb_ids[i]);
+  c.blocked = false;
+  c.write_deadline = Clock::time_point::max();
+}
+
+void Server::Close(Conn& c) {
+  if (c.closed) return;
+  c.closed = true;
+  const int fd = c.fd.get();
+  c.fd.Reset();      // closing also leaves the epoll set
+  conns_.erase(fd);  // may drop the last reference to `c`: touch it no more
+  open_connections_->Set(static_cast<double>(conns_.size()));
+}
+
+void Server::Complete(std::shared_ptr<Conn> conn, std::uint64_t seq,
+                      serve::StatusCode status, Bytes frame) {
+  // The eventfd write happens under done_mu_: once the loop has drained
+  // this completion no callback still touches the server, so Stop may
+  // return and the server be destroyed.
+  std::lock_guard<std::mutex> lock(done_mu_);
+  done_.push_back({std::move(conn), seq, status, std::move(frame)});
+  if (!wake_pending_) {
+    wake_pending_ = true;
+    const std::uint64_t one = 1;
+    (void)!::write(wake_fd_.get(), &one, sizeof(one));
   }
-  std::string attribution_json;
-  if (response.attribution.has_value()) {
-    attribution_json =
-        ",\"attribution\":" + AttributionJson(*response.attribution);
+}
+
+bool Server::DrainCompletions() {
+  {
+    // wake_pending_ stays set while the loop is awake, so callbacks landing
+    // meanwhile skip the eventfd write; it clears only once the queue is
+    // seen empty, right before the loop may block again.
+    std::lock_guard<std::mutex> lock(done_mu_);
+    if (done_.empty()) {
+      wake_pending_ = false;
+      return false;
+    }
+    drained_.swap(done_);
   }
-  return StrFormat(
-      "{\"status\":\"%s\",\"model\":\"%s\",\"version\":\"%s\","
-      "\"request_id\":\"%s\",\"herb_ids\":[%s],\"message\":\"%s\"%s}\n",
-      serve::StatusCodeName(response.status),
-      http::JsonEscape(response.model).c_str(),
-      http::JsonEscape(response.version).c_str(),
-      http::JsonEscape(response.request_id).c_str(), ids_json.c_str(),
-      http::JsonEscape(response.message).c_str(), attribution_json.c_str());
+  for (Completion& done : drained_) {
+    --outstanding_;
+    Conn& c = *done.conn;
+    if (c.closed) continue;  // the peer went away; drop the answer
+    CountResponse(done.status);
+    c.out[done.seq - c.front_seq] = std::move(done.frame);
+  }
+  // Then one Settle, and so one gathered write, per connection run.
+  for (std::size_t i = 0; i < drained_.size(); ++i) {
+    const std::shared_ptr<Conn>& conn = drained_[i].conn;
+    if (!conn->closed && (i == 0 || conn != drained_[i - 1].conn)) {
+      Settle(conn);
+    }
+  }
+  drained_.clear();
+  return true;
 }
 
 std::string Server::HandleHttp(const http::Request& request,
-                               bool* keep_alive) {
-  *keep_alive = request.keep_alive;
+                               bool keep_alive) {
   if (request.method != "GET") {
     return http::FormatResponse(405, "text/plain",
-                                "only GET is supported\n", *keep_alive);
+                                "only GET is supported\n", keep_alive);
   }
   if (request.path == "/healthz") {
-    if (draining_.load(std::memory_order_acquire)) {
-      return http::FormatResponse(503, "text/plain", "draining\n",
-                                  *keep_alive);
-    }
-    return http::FormatResponse(200, "text/plain", "ok\n", *keep_alive);
+    const bool up = !draining_.load(std::memory_order_acquire);
+    return http::FormatResponse(up ? 200 : 503, "text/plain",
+                                up ? "ok\n" : "draining\n", keep_alive);
   }
   if (request.path == "/metrics") {
     return http::FormatResponse(
         200, "text/plain; version=0.0.4",
-        obs::Registry::Global().ExportPrometheus(), *keep_alive);
+        obs::Registry::Global().ExportPrometheus(), keep_alive);
   }
   if (request.path == "/slowlog") {
-    std::string body;
-    for (const auto& model : manager_->ListModels()) {
-      auto engine = manager_->Engine(model.name);
-      if (!engine.ok()) continue;
-      for (const auto& record : (*engine)->slow_query_log().Snapshot()) {
-        body += model.name + " " + record.ToString() + "\n";
-      }
-    }
-    return http::FormatResponse(200, "text/plain", body, *keep_alive);
+    return http::FormatResponse(200, "text/plain",
+                                http::SlowLogText(*manager_), keep_alive);
   }
   if (request.path == "/v1/models") {
-    std::string body = "{\"models\":[";
-    bool first_model = true;
-    for (const auto& model : manager_->ListModels()) {
-      if (!first_model) body += ",";
-      first_model = false;
-      body += StrFormat("{\"name\":\"%s\",\"active_version\":\"%s\","
-                        "\"versions\":[",
-                        http::JsonEscape(model.name).c_str(),
-                        http::JsonEscape(model.active_version).c_str());
-      for (std::size_t i = 0; i < model.versions.size(); ++i) {
-        const auto& v = model.versions[i];
-        if (i > 0) body += ",";
-        body += StrFormat(
-            "{\"version\":\"%s\",\"active\":%s,\"num_symptoms\":%zu,"
-            "\"num_herbs\":%zu,\"dim\":%zu}",
-            http::JsonEscape(v.version).c_str(), v.active ? "true" : "false",
-            v.num_symptoms, v.num_herbs, v.dim);
-      }
-      body += "]}";
-    }
-    body += "]}\n";
-    return http::FormatResponse(200, "application/json", body, *keep_alive);
-  }
-  if (request.path == "/v1/recommend") {
-    int status = 200;
-    std::string request_id;
-    const std::string body = RecommendJson(request, &status, &request_id);
-    std::vector<std::pair<std::string, std::string>> extra;
-    if (!request_id.empty()) extra.emplace_back("X-Request-Id", request_id);
-    return http::FormatResponse(status, "application/json", body,
-                                *keep_alive, extra);
+    return http::FormatResponse(200, "application/json",
+                                http::ModelsJson(manager_->ListModels()),
+                                keep_alive);
   }
   return http::FormatResponse(404, "text/plain",
                               "unknown path; try /healthz /metrics /slowlog "
                               "/v1/models /v1/recommend\n",
-                              *keep_alive);
+                              keep_alive);
 }
 
-void Server::ServeHttp(int fd, std::uint8_t first_byte) {
-  (void)first_byte;  // still unconsumed (MSG_PEEK); read with the head
-  while (!draining_.load(std::memory_order_acquire)) {
-    // Accumulate one request head. Reads come in kPollSliceMs slices so a
-    // drain is noticed while idle; idle_timeout_ms bounds the total wait.
-    std::string head;
-    int waited_ms = 0;
-    bool closed = false;
-    while (head.find("\r\n\r\n") == std::string::npos) {
-      if (head.size() > http::kMaxHeadBytes) break;
-      if (draining_.load(std::memory_order_acquire) && head.empty()) return;
-      const Status readable = WaitReadable(fd, kPollSliceMs);
-      if (!readable.ok()) {
-        if (readable.code() != StatusCode::kDeadlineExceeded) return;
-        waited_ms += kPollSliceMs;
-        if (waited_ms >= options_.idle_timeout_ms) return;
-        continue;
-      }
-      char buf[2048];
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n <= 0) {
-        closed = true;
-        break;
-      }
-      head.append(buf, static_cast<std::size_t>(n));
-    }
-    if (closed) return;
-    http_requests_->Increment();
-    auto request = http::ParseRequest(head);
-    if (!request.ok()) {
-      protocol_errors_->Increment();
-      const std::string response = http::FormatResponse(
-          400, "text/plain", std::string(request.status().message()) + "\n",
-          /*keep_alive=*/false);
-      (void)WriteAll(fd, response.data(), response.size(),
-                     options_.write_timeout_ms);
-      return;
-    }
-    bool keep_alive = true;
-    const std::string response = HandleHttp(*request, &keep_alive);
-    if (!WriteAll(fd, response.data(), response.size(),
-                  options_.write_timeout_ms)
-             .ok()) {
-      return;
-    }
-    if (!keep_alive) return;
+bool Server::DecodeHead(const std::shared_ptr<Conn>& conn, std::size_t* pos) {
+  Conn& c = *conn;
+  const std::string_view rest(
+      reinterpret_cast<const char*>(c.in.data()) + *pos, c.in.size() - *pos);
+  const std::size_t end = rest.find("\r\n\r\n");
+  // An unterminated head past the cap goes to ParseRequest, which rejects
+  // it as oversized.
+  if (end == rest.npos && rest.size() <= http::kMaxHeadBytes) return false;
+  const std::string head(rest.substr(0, end == rest.npos ? end : end + 4));
+  *pos += head.size();
+  http_requests_->Increment();
+  auto request = http::ParseRequest(head);
+  if (!request.ok()) {
+    protocol_errors_->Increment();
+    c.out.emplace_back(ToBytes(http::FormatResponse(
+        400, "text/plain", std::string(request.status().message()) + "\n",
+        /*keep_alive=*/false)));
+    c.close_after_flush = true;
+    return false;
   }
+  const bool keep_alive = request->keep_alive;
+  c.close_after_flush = !keep_alive;
+  serve::Request serving;
+  serve::Response error;
+  if (request->method != "GET" || request->path != "/v1/recommend") {
+    c.out.emplace_back(ToBytes(HandleHttp(*request, keep_alive)));
+  } else if (!http::ParseRecommendRequest(*request, &serving, &error)) {
+    CountResponse(error.status);
+    c.out.emplace_back(
+        ToBytes(http::FormatRecommendResponse(error, keep_alive)));
+  } else {
+    // Ride the async path: HTTP requests micro-batch with binary and
+    // in-process traffic and obey the same admission control.
+    Admit(conn, std::move(serving), [keep_alive](const serve::Response& r) {
+      return ToBytes(http::FormatRecommendResponse(r, keep_alive));
+    });
+  }
+  return true;
 }
 
 }  // namespace net

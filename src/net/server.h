@@ -22,12 +22,25 @@
 //                          HTTP status mirrors the serving status
 //                          (serve::HttpStatusFor).
 //
-// Threading: one accept thread plus one thread per live connection,
-// bounded by max_connections (excess connections are closed on accept).
-// Stop() drains gracefully: the listener closes first, connection loops
-// stop reading new requests, every request already admitted is answered,
-// then all threads join. Stop never touches the ModelManager — engines
-// keep serving in-process callers.
+// Threading: one event-loop thread owns every socket. The listener and all
+// accepted connections are non-blocking and registered with one epoll set;
+// an eventfd wakes the loop when the engine finishes a request. Each
+// readable event is one buffered read() that decodes every complete frame
+// (or HTTP head) it holds, so a client may split a frame across any number
+// of TCP segments or pack many frames into one. Requests are admitted with
+// the callback form of ModelManager::SubmitRequest; the callback, running
+// on the engine thread that scored the batch, encodes the response and
+// hands it back to the loop, which files it in the connection's ordered
+// slot queue and flushes every in-order-ready response with one gathered
+// write. A connection with max_pipeline responses outstanding is not read
+// until one is written (its kernel buffers then push back on the client);
+// idle_timeout_ms and write_timeout_ms are per-connection deadlines the
+// loop sweeps. Connections past max_connections are closed on accept.
+// Stop() drains gracefully: the listener closes first, no new bytes are
+// read, every request already admitted is answered, and Stop returns only
+// after every outstanding engine callback has fired and the loop has
+// exited. Stop never touches the ModelManager — engines keep serving
+// in-process callers.
 #ifndef SMGCN_NET_SERVER_H_
 #define SMGCN_NET_SERVER_H_
 
@@ -37,6 +50,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/net/http.h"
@@ -54,15 +68,16 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 asks the kernel for an ephemeral port; Server::port() reports it.
   std::uint16_t port = 0;
-  /// Live connections; the accept loop closes arrivals beyond this.
+  /// Open connections; the loop closes arrivals beyond this.
   std::size_t max_connections = 64;
-  /// Outstanding pipelined requests per binary connection before the
-  /// reader blocks on the oldest response.
+  /// Outstanding pipelined requests per connection (admitted, response not
+  /// yet written) before the loop stops reading from it.
   std::size_t max_pipeline = 32;
-  /// Per-read idle timeout; an idle keep-alive connection is closed after
-  /// this long. Also bounds how fast drain is noticed by blocked reads.
+  /// A connection with nothing outstanding that sends no byte for this
+  /// long is closed.
   int idle_timeout_ms = 30000;
-  /// Socket write timeout (a stalled reader cannot wedge a worker).
+  /// A connection whose pending responses make no write progress for this
+  /// long (a client that stopped reading) is closed.
   int write_timeout_ms = 5000;
   int listen_backlog = 128;
   /// SO_RCVBUF cap for accepted connections (0 = OS default). Bounding the
@@ -72,7 +87,7 @@ struct ServerOptions {
   int recv_buffer_bytes = 0;
 };
 
-/// A running server. Create with Start (binds, listens, spawns the accept
+/// A running server. Create with Start (binds, listens, spawns the event
 /// loop); destruction stops and drains. Thread-safe.
 class Server {
  public:
@@ -90,30 +105,53 @@ class Server {
   std::uint16_t port() const { return port_; }
   const std::string& host() const { return options_.host; }
 
-  /// Graceful drain: stop accepting, answer everything already admitted,
-  /// join every thread. Idempotent; implicit in the destructor.
+  /// Graceful drain: stop accepting and reading, answer everything already
+  /// admitted, join the loop. Idempotent; implicit in the destructor.
   void Stop();
 
   /// Scope of this server's instruments in obs::Registry::Global()
   /// (e.g. "net.server0."): connections, http_requests, binary_requests,
-  /// responses.<status>, protocol_errors, rejected_connections.
+  /// responses.<status>, protocol_errors, rejected_connections, and the
+  /// open_connections gauge.
   const std::string& obs_prefix() const { return obs_prefix_; }
 
  private:
-  Server(serve::ModelManager* manager, ServerOptions options, OwnedFd listen_fd,
-         std::uint16_t port);
+  struct Conn;        // one accepted socket; owned by the loop (server.cc)
+  struct Completion;  // one engine answer on its way back to the loop
 
-  void AcceptLoop();
-  void ServeConnection(OwnedFd fd);
-  void ServeBinary(int fd);
-  void ServeHttp(int fd, std::uint8_t first_byte);
-  /// Routes one parsed HTTP request; returns the full response bytes.
-  std::string HandleHttp(const http::Request& request, bool* keep_alive);
-  /// Renders the /v1/recommend JSON body. `request_id_out` receives the
-  /// response's correlation id (for the X-Request-Id response header);
-  /// empty when the request never reached an engine.
-  std::string RecommendJson(const http::Request& request, int* http_status,
-                            std::string* request_id_out);
+  Server(serve::ModelManager* manager, ServerOptions options, OwnedFd listen_fd,
+         std::uint16_t port, OwnedFd epoll_fd, OwnedFd wake_fd);
+
+  void Loop();
+  void Accept();
+  void Read(Conn& conn);
+  /// Flushes ready answers, admits every complete buffered frame or head
+  /// the pipeline bound allows, flushes again, then closes the connection
+  /// or re-arms its epoll interest.
+  void Settle(const std::shared_ptr<Conn>& conn);
+  /// Decodes and files the one binary frame (HTTP head) at `*pos` of the
+  /// connection's input, advancing `*pos`; false when it has not fully
+  /// arrived or the connection must close after a protocol error.
+  bool DecodeFrame(const std::shared_ptr<Conn>& conn, std::size_t* pos);
+  bool DecodeHead(const std::shared_ptr<Conn>& conn, std::size_t* pos);
+  /// Opens the next slot of `conn` and submits `request`; the engine
+  /// callback fills the slot with `encode(response)`.
+  template <typename Encode>
+  void Admit(const std::shared_ptr<Conn>& conn, serve::Request request,
+             Encode encode);
+  /// Gathered write of every in-order-ready response.
+  void Flush(Conn& conn);
+  void Close(Conn& conn);
+  /// Files queued engine answers in their slots and settles their
+  /// connections; false (and the next callback wakes the loop) when the
+  /// queue was empty.
+  bool DrainCompletions();
+  /// Called from engine threads: queue `frame` for slot `seq` of `conn`
+  /// and wake the loop unless it is already signalled.
+  void Complete(std::shared_ptr<Conn> conn, std::uint64_t seq,
+                serve::StatusCode status, std::vector<std::uint8_t> frame);
+  /// Routes one parsed non-recommend HTTP request; returns the response.
+  std::string HandleHttp(const http::Request& request, bool keep_alive);
   void CountResponse(serve::StatusCode status);
 
   serve::ModelManager* manager_;
@@ -121,22 +159,33 @@ class Server {
   OwnedFd listen_fd_;
   std::uint16_t port_ = 0;
   std::string obs_prefix_;
+  OwnedFd epoll_fd_;
+  OwnedFd wake_fd_;  // eventfd: engine callbacks and Stop wake the loop
 
   std::atomic<bool> draining_{false};
-  std::atomic<std::size_t> live_connections_{0};
-  std::thread accept_thread_;
-  std::mutex threads_mu_;
-  std::vector<std::thread> connection_threads_;  // guarded by threads_mu_
   std::once_flag stop_once_;
 
-  obs::Counter* connections_;           // <prefix>connections
-  obs::Counter* rejected_connections_;  // <prefix>rejected_connections
-  obs::Counter* http_requests_;         // <prefix>http_requests
-  obs::Counter* binary_requests_;       // <prefix>binary_requests
-  obs::Counter* protocol_errors_;       // <prefix>protocol_errors
+  // Loop-thread state.
+  std::unordered_map<int, std::shared_ptr<Conn>> conns_;  // by fd
+  std::size_t outstanding_ = 0;  // admitted, callback not yet drained
+  std::vector<Completion> drained_;
+
+  std::mutex done_mu_;
+  std::vector<Completion> done_;  // guarded by done_mu_
+  bool wake_pending_ = false;     // guarded by done_mu_
+
+  // Instruments named <prefix><member name without the underscore>.
+  obs::Counter* connections_ = nullptr;
+  obs::Counter* rejected_connections_ = nullptr;
+  obs::Counter* http_requests_ = nullptr;
+  obs::Counter* binary_requests_ = nullptr;
+  obs::Counter* protocol_errors_ = nullptr;
+  obs::Gauge* open_connections_ = nullptr;
   /// One counter per serve::StatusCode, indexed by wire byte:
   /// <prefix>responses.<lowercase name>.
   std::vector<obs::Counter*> responses_by_status_;
+
+  std::thread loop_thread_;  // last: it uses every member above
 };
 
 }  // namespace net

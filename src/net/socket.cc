@@ -170,14 +170,5 @@ Status WriteAll(int fd, const void* data, std::size_t size, int timeout_ms) {
   return Status::OK();
 }
 
-Result<std::uint8_t> PeekByte(int fd, int timeout_ms) {
-  RETURN_IF_ERROR(WaitReadable(fd, timeout_ms));
-  std::uint8_t byte = 0;
-  const ssize_t n = ::recv(fd, &byte, 1, MSG_PEEK);
-  if (n < 0) return Errno("recv(MSG_PEEK)");
-  if (n == 0) return Status::Unavailable("peer closed the connection");
-  return byte;
-}
-
 }  // namespace net
 }  // namespace smgcn

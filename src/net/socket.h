@@ -80,11 +80,6 @@ Status ReadExact(int fd, void* data, std::size_t size, int timeout_ms);
 /// Writes all `size` bytes, polling for writability as needed.
 Status WriteAll(int fd, const void* data, std::size_t size, int timeout_ms);
 
-/// Peeks at the first byte without consuming it (MSG_PEEK) — the server's
-/// protocol sniff: binary frames open with wire::kRequestMagic (0xA7),
-/// which no HTTP method's first ASCII byte can be.
-Result<std::uint8_t> PeekByte(int fd, int timeout_ms);
-
 }  // namespace net
 }  // namespace smgcn
 

@@ -52,6 +52,7 @@ const char* HelpForFamily(const std::string& name) {
     return "Queries over the slow-query-log latency threshold.";
   }
   if (tail == "connections") return "TCP connections accepted.";
+  if (tail == "open_connections") return "TCP connections currently open.";
   if (tail == "rejected_connections") {
     return "TCP connections refused at the connection cap.";
   }

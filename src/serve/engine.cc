@@ -658,24 +658,24 @@ void ServingEngine::SubmitInternal(Request incoming, DeliverFn deliver) {
   queue_cv_.notify_one();
 }
 
-std::future<Response> ServingEngine::SubmitRequest(Request request) {
-  auto promise = std::make_shared<std::promise<Response>>();
-  auto future = promise->get_future();
+template <typename Sink>
+void ServingEngine::SubmitWith(Request request, Sink sink) {
   if (request.top_k == 0) {
     Response resp;
     resp.status = StatusCode::kInvalidArgument;
     resp.message =
         "dense-score mode (top_k == 0) is synchronous-only; use Handle";
     resp.request_id = request.request_id;
-    promise->set_value(std::move(resp));
-    return future;
+    sink(std::move(resp));
+    return;
   }
   SubmitInternal(
       std::move(request),
-      [promise](const Status& status, std::vector<std::size_t> ids,
-                std::optional<audit::QueryAttribution> attribution,
-                const std::string& request_id,
-                const std::shared_ptr<const ModelSnapshot>& snap) {
+      [sink = std::move(sink)](
+          const Status& status, std::vector<std::size_t> ids,
+          std::optional<audit::QueryAttribution> attribution,
+          const std::string& request_id,
+          const std::shared_ptr<const ModelSnapshot>& snap) mutable {
         Response resp;
         resp.status = FromInternalStatus(status);
         if (!status.ok()) resp.message = status.message();
@@ -686,9 +686,22 @@ std::future<Response> ServingEngine::SubmitRequest(Request request) {
           resp.model = snap->store.model_name();
           resp.version = snap->version;
         }
-        promise->set_value(std::move(resp));
+        sink(std::move(resp));
       });
+}
+
+std::future<Response> ServingEngine::SubmitRequest(Request request) {
+  auto promise = std::make_shared<std::promise<Response>>();
+  auto future = promise->get_future();
+  SubmitWith(std::move(request), [promise](Response resp) {
+    promise->set_value(std::move(resp));
+  });
   return future;
+}
+
+void ServingEngine::SubmitRequest(Request request,
+                                  std::function<void(Response)> done) {
+  SubmitWith(std::move(request), std::move(done));
 }
 
 std::future<Result<std::vector<std::size_t>>> ServingEngine::Submit(

@@ -6,8 +6,9 @@
 //     serve cache hits, score the rest as ONE batched GEMM. top_k >= 1
 //     returns ranked herb ids; top_k == 0 returns dense scores.
 //   * SubmitRequest — asynchronous (ranked mode only): returns a
-//     std::future<Response> immediately; a micro-batcher coalesces queued
-//     requests (up to max_batch_size, waiting at most max_wait_ms for
+//     std::future<Response> immediately, or hands the Response to a
+//     callback (the network front-end's form); a micro-batcher coalesces
+//     queued requests (up to max_batch_size, waiting at most max_wait_ms for
 //     stragglers — or less when a request's deadline demands it) into one
 //     GEMM executed on the shared ThreadPool. Admission is bounded: with
 //     max_queue_depth > 0 a full queue load-sheds new requests with
@@ -230,6 +231,14 @@ class ServingEngine {
   /// before the batch executes.
   std::future<Response> SubmitRequest(Request request);
 
+  /// Callback form of SubmitRequest, for callers that must not block on a
+  /// future (the network event loop). `done` receives exactly the Response
+  /// the future overload would resolve with, exactly once: synchronously,
+  /// before this returns, for requests rejected at admission (validation,
+  /// pins, dense mode, shedding, shutdown); otherwise on the thread that
+  /// executed the batch, so `done` must be cheap and must not block.
+  void SubmitRequest(Request request, std::function<void(Response)> done);
+
   /// DEPRECATED: use HandleBatch with top_k == 0. Scores every herb for
   /// every query in one fused GEMM. Fails with InvalidArgument when any
   /// query is empty or holds out-of-range ids (the message names the
@@ -371,6 +380,13 @@ class ServingEngine {
   /// called exactly once, possibly before this returns (validation errors,
   /// shedding, shutdown).
   void SubmitInternal(Request request, DeliverFn deliver);
+
+  /// Both SubmitRequest overloads: rejects dense mode, then rides
+  /// SubmitInternal with one Response built per outcome and handed to
+  /// `sink(Response)`. A template so the future overload's sink stays one
+  /// plain lambda inside the DeliverFn, with no extra std::function layer.
+  template <typename Sink>
+  void SubmitWith(Request request, Sink sink);
 
   void BatcherLoop();
   /// Scores one coalesced batch and fulfils its promises. Requests are

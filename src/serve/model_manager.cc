@@ -204,28 +204,39 @@ Result<ServingEngine*> ModelManager::Route(const std::string& model) const {
   return models_.begin()->second.engine.get();
 }
 
+namespace {
+
+/// The Response for a request that could not be routed to an engine.
+Response RoutingFailure(const Status& status) {
+  Response resp;
+  resp.status = FromInternalStatus(status);
+  resp.message = status.message();
+  return resp;
+}
+
+}  // namespace
+
 Response ModelManager::Handle(const Request& request) const {
   auto engine = Route(request.model);
-  if (!engine.ok()) {
-    Response resp;
-    resp.status = FromInternalStatus(engine.status());
-    resp.message = engine.status().message();
-    return resp;
-  }
+  if (!engine.ok()) return RoutingFailure(engine.status());
   return (*engine)->Handle(request);
 }
 
 std::future<Response> ModelManager::SubmitRequest(Request request) const {
   auto engine = Route(request.model);
   if (!engine.ok()) {
-    Response resp;
-    resp.status = FromInternalStatus(engine.status());
-    resp.message = engine.status().message();
     std::promise<Response> promise;
-    promise.set_value(std::move(resp));
+    promise.set_value(RoutingFailure(engine.status()));
     return promise.get_future();
   }
   return (*engine)->SubmitRequest(std::move(request));
+}
+
+void ModelManager::SubmitRequest(Request request,
+                                 std::function<void(Response)> done) const {
+  auto engine = Route(request.model);
+  if (!engine.ok()) return done(RoutingFailure(engine.status()));
+  (*engine)->SubmitRequest(std::move(request), std::move(done));
 }
 
 Result<std::vector<double>> ModelManager::Score(

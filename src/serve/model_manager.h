@@ -39,6 +39,7 @@
 #define SMGCN_SERVE_MODEL_MANAGER_H_
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -137,6 +138,11 @@ class ModelManager {
   /// enqueues on its micro-batcher (ranked mode only; see
   /// ServingEngine::SubmitRequest for shedding/deadline semantics).
   std::future<Response> SubmitRequest(Request request) const;
+
+  /// Callback counterpart (see ServingEngine's callback SubmitRequest):
+  /// `done` fires exactly once, synchronously for routing failures.
+  void SubmitRequest(Request request,
+                     std::function<void(Response)> done) const;
 
   /// DEPRECATED conveniences routing to the model's engine; use Handle
   /// with a serve::Request instead.

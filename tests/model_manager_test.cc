@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -468,6 +470,57 @@ TEST(ModelManagerRoutingTest, NoModelsMeansUnavailable) {
   request.model = "nope";
   EXPECT_EQ((*manager)->Handle(request).status,
             serve::StatusCode::kUnavailable);
+}
+
+TEST(ModelManagerRoutingTest, CallbackSubmitFiresOnceWithTheFutureResponse) {
+  auto manager = ModelManager::Create(QuietOptions());
+  ASSERT_TRUE(manager.ok());
+  ASSERT_TRUE((*manager)->Publish(ConstantCheckpoint("herbs", 1.0), "v1").ok());
+
+  // Each callback counts its calls and hands over its first Response.
+  struct Probe {
+    std::atomic<int> calls{0};
+    std::promise<Response> first;
+  };
+  std::vector<std::shared_ptr<Probe>> probes;
+  const auto submit = [&](const Request& request) {
+    auto probe = std::make_shared<Probe>();
+    (*manager)->SubmitRequest(request, [probe](Response response) {
+      if (probe->calls.fetch_add(1) == 0) {
+        probe->first.set_value(std::move(response));
+      }
+    });
+    probes.push_back(probe);
+    return probe;
+  };
+
+  Request unknown;
+  unknown.symptoms = std::vector<int>{0};
+  unknown.top_k = 3;
+  unknown.model = "nope";
+  auto routed = submit(unknown);
+  // Routing failures answer before SubmitRequest returns.
+  EXPECT_EQ(routed->calls.load(), 1);
+  const Response unknown_response = routed->first.get_future().get();
+  const Response unknown_future = (*manager)->SubmitRequest(unknown).get();
+  EXPECT_EQ(unknown_response.status, serve::StatusCode::kUnavailable);
+  EXPECT_EQ(unknown_response.status, unknown_future.status);
+  EXPECT_EQ(unknown_response.message, unknown_future.message);
+
+  Request ok;
+  ok.symptoms = std::vector<int>{0, 2};
+  ok.top_k = 3;
+  ok.request_id = "mm-cb";
+  const Response ok_future = (*manager)->SubmitRequest(ok).get();
+  const Response ok_response = submit(ok)->first.get_future().get();
+  ASSERT_TRUE(ok_response.ok()) << ok_response.message;
+  EXPECT_EQ(ok_response.herb_ids, ok_future.herb_ids);
+  EXPECT_EQ(ok_response.request_id, "mm-cb");
+  EXPECT_EQ(ok_response.model, "herbs");
+  EXPECT_EQ(ok_response.version, "v1");
+
+  (*manager)->Shutdown();  // drains: every callback has fired by now
+  for (const auto& probe : probes) EXPECT_EQ(probe->calls.load(), 1);
 }
 
 }  // namespace

@@ -1,15 +1,27 @@
 // Tests for src/net: wire codec totality, HTTP parsing, and the server
 // end-to-end — protocol sniffing, binary round trips bit-identical to
 // in-process Handle, pipelining order, malformed-input behaviour,
-// admission-control shedding over the wire, graceful drain, and a
-// TSan-targeted concurrent connect/publish/query hammer.
+// admission-control shedding over the wire, graceful drain, a
+// TSan-targeted concurrent connect/publish/query hammer, and the event
+// loop under split and coalesced frames, peer resets, clients that stop
+// reading, pipelined HTTP and idle connections.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <functional>
 #include <future>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/audit/audit.h"
@@ -26,6 +38,7 @@
 #include "src/tensor/matrix.h"
 #include "src/util/logging.h"
 #include "src/util/random.h"
+#include "src/util/string_util.h"
 
 namespace smgcn {
 namespace net {
@@ -65,7 +78,7 @@ std::unique_ptr<serve::ModelManager> MakeManager(
 
 TEST(WireTest, RequestRoundTrip) {
   serve::Request request;
-  request.symptoms = {4, 1, 9, 1};
+  request.symptoms = std::vector<int>{4, 1, 9, 1};
   request.top_k = 12;
   request.deadline_ms = 7.5;
   request.model = "test-ckpt";
@@ -94,7 +107,7 @@ TEST(WireTest, RequestRoundTrip) {
 
 TEST(WireTest, V2RequestRoundTrip) {
   serve::Request request;
-  request.symptoms = {3, 8};
+  request.symptoms = std::vector<int>{3, 8};
   request.top_k = 5;
   request.request_id = "client-abc-001";
   request.attribution = true;
@@ -117,7 +130,7 @@ TEST(WireTest, V2RequestRoundTrip) {
 
 TEST(WireTest, RejectsBadRequestIds) {
   serve::Request request;
-  request.symptoms = {1};
+  request.symptoms = std::vector<int>{1};
   request.top_k = 5;
   request.request_id.assign(wire::kMaxWireRequestId + 1, 'x');
   EXPECT_FALSE(wire::EncodeRequest(request).ok());
@@ -158,7 +171,7 @@ TEST(WireTest, V2ResponseRoundTripWithAttribution) {
   response.version = "v3";
   response.request_id = "req-42";
   audit::QueryAttribution attr;
-  attr.symptom_ids = {1, 4, 9};
+  attr.symptom_ids = std::vector<int>{1, 4, 9};
   attr.herbs.resize(2);
   for (std::size_t i = 0; i < 2; ++i) {
     audit::HerbAttribution& herb = attr.herbs[i];
@@ -233,7 +246,7 @@ TEST(WireTest, OversizedAttributionIsDroppedNotFatal) {
 
 TEST(WireTest, EncodeRejectsUnrepresentableRequests) {
   serve::Request dense;
-  dense.symptoms = {1};
+  dense.symptoms = std::vector<int>{1};
   dense.top_k = 0;  // dense mode is in-process only
   EXPECT_FALSE(wire::EncodeRequest(dense).ok());
 
@@ -243,7 +256,7 @@ TEST(WireTest, EncodeRejectsUnrepresentableRequests) {
   EXPECT_FALSE(wire::EncodeRequest(huge).ok());
 
   serve::Request long_name;
-  long_name.symptoms = {1};
+  long_name.symptoms = std::vector<int>{1};
   long_name.top_k = 5;
   long_name.model.assign(256, 'm');
   EXPECT_FALSE(wire::EncodeRequest(long_name).ok());
@@ -251,7 +264,7 @@ TEST(WireTest, EncodeRejectsUnrepresentableRequests) {
 
 TEST(WireTest, DecoderRejectsMalformedFrames) {
   serve::Request request;
-  request.symptoms = {1, 2};
+  request.symptoms = std::vector<int>{1, 2};
   request.top_k = 5;
   auto frame = wire::EncodeRequest(request);
   ASSERT_TRUE(frame.ok());
@@ -303,7 +316,7 @@ TEST(WireTest, DecoderRejectsMalformedFrames) {
 
   // Truncated v2 frames must error too, never read past the buffer.
   serve::Request v2_request;
-  v2_request.symptoms = {1, 2};
+  v2_request.symptoms = std::vector<int>{1, 2};
   v2_request.top_k = 5;
   v2_request.request_id = "abc";
   v2_request.attribution = true;
@@ -370,7 +383,7 @@ TEST(ServerTest, BinaryRoundTripMatchesInProcessHandle) {
   ASSERT_TRUE(client.ok());
 
   serve::Request request;
-  request.symptoms = {2, 4, 6};
+  request.symptoms = std::vector<int>{2, 4, 6};
   request.top_k = 7;
   const serve::Response local = manager->Handle(request);
   ASSERT_TRUE(local.ok());
@@ -395,7 +408,7 @@ TEST(ServerTest, BinaryAttributionAndRequestIdRoundTrip) {
   ASSERT_TRUE(client.ok());
 
   serve::Request request;
-  request.symptoms = {2, 4, 6};
+  request.symptoms = std::vector<int>{2, 4, 6};
   request.top_k = 7;
   request.request_id = "wire-audit-1";
   request.attribution = true;
@@ -470,7 +483,7 @@ TEST(ServerTest, PipelinedResponsesComeBackInOrder) {
   constexpr int kDepth = 8;
   for (int i = 0; i < kDepth; ++i) {
     serve::Request request;
-    request.symptoms = {1, 2, 3};
+    request.symptoms = std::vector<int>{1, 2, 3};
     request.top_k = static_cast<std::size_t>(i + 1);
     ASSERT_TRUE((*client)->Send(request).ok());
   }
@@ -493,7 +506,7 @@ TEST(ServerTest, InvalidRequestGetsErrorResponseAndConnectionSurvives) {
 
   // Framing-valid but semantically invalid: out-of-range symptom.
   serve::Request bad;
-  bad.symptoms = {9999};
+  bad.symptoms = std::vector<int>{9999};
   bad.top_k = 5;
   auto response = (*client)->Call(bad);
   ASSERT_TRUE(response.ok());
@@ -501,7 +514,7 @@ TEST(ServerTest, InvalidRequestGetsErrorResponseAndConnectionSurvives) {
 
   // The stream is intact: a good request on the same connection works.
   serve::Request good;
-  good.symptoms = {1, 2};
+  good.symptoms = std::vector<int>{1, 2};
   good.top_k = 5;
   auto next = (*client)->Call(good);
   ASSERT_TRUE(next.ok());
@@ -610,7 +623,7 @@ TEST(ServerTest, WireSheddingWhenQueueIsFull) {
   constexpr int kBurst = 10;
   for (int i = 0; i < kBurst; ++i) {
     serve::Request request;
-    request.symptoms = {1, 2};
+    request.symptoms = std::vector<int>{1, 2};
     request.top_k = 5;
     ASSERT_TRUE((*client)->Send(request).ok());
   }
@@ -646,7 +659,7 @@ TEST(ServerTest, GracefulDrainAnswersAcceptedRequests) {
   constexpr int kInflight = 6;
   for (int i = 0; i < kInflight; ++i) {
     serve::Request request;
-    request.symptoms = {1, 2, 3};
+    request.symptoms = std::vector<int>{1, 2, 3};
     request.top_k = 5;
     ASSERT_TRUE((*client)->Send(request).ok());
   }
@@ -675,7 +688,7 @@ TEST(ServerTest, GracefulDrainAnswersAcceptedRequests) {
   EXPECT_FALSE(Client::Connect(copts).ok());
   // ...but the manager itself still serves in-process callers.
   serve::Request request;
-  request.symptoms = {1};
+  request.symptoms = std::vector<int>{1};
   request.top_k = 5;
   EXPECT_TRUE(manager->Handle(request).ok());
 }
@@ -702,7 +715,7 @@ TEST(ServerTest, ConcurrentConnectPublishQueryHammer) {
         if (!client.ok()) continue;
         for (int i = 0; i < 5; ++i) {
           serve::Request request;
-          request.symptoms = {1 + i, 7};
+          request.symptoms = std::vector<int>{1 + i, 7};
           request.top_k = 5;
           auto response = (*client)->Call(request);
           if (response.ok() && response->ok()) {
@@ -722,7 +735,7 @@ TEST(ServerTest, ConcurrentConnectPublishQueryHammer) {
   threads.emplace_back([&manager, &stop] {
     int v = 2;
     while (!stop.load(std::memory_order_relaxed)) {
-      (void)manager->Publish(MakeCheckpoint(), "v" + std::to_string(v++));
+      (void)manager->Publish(MakeCheckpoint(), StrFormat("v%d", v++));
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   });
@@ -732,6 +745,290 @@ TEST(ServerTest, ConcurrentConnectPublishQueryHammer) {
   for (auto& thread : threads) thread.join();
   EXPECT_GT(wire_ok.load(), 0);
   (*server)->Stop();
+}
+
+// --------------------------------------------------------------------------
+// The event loop under short I/O, resets, slow readers and idle sockets
+// --------------------------------------------------------------------------
+
+std::vector<std::uint8_t> RequestFrame(const serve::Request& request) {
+  auto frame = wire::EncodeRequest(request);
+  SMGCN_CHECK(frame.ok()) << frame.status();
+  return *std::move(frame);
+}
+
+serve::Request RankedRequest(std::size_t top_k) {
+  serve::Request request;
+  request.symptoms = std::vector<int>{2, 4, 6};
+  request.top_k = top_k;
+  return request;
+}
+
+/// Reads one response frame from a raw connection.
+Result<serve::Response> ReadResponseFrame(int fd) {
+  std::uint8_t header[wire::kHeaderBytes];
+  RETURN_IF_ERROR(ReadExact(fd, header, sizeof(header), 5000));
+  std::uint32_t payload_len = 0;
+  std::uint8_t version = 0;
+  RETURN_IF_ERROR(
+      wire::DecodeHeader(header, wire::kResponseMagic, &payload_len, &version));
+  std::vector<std::uint8_t> payload(payload_len);
+  if (payload_len > 0) {
+    RETURN_IF_ERROR(ReadExact(fd, payload.data(), payload.size(), 5000));
+  }
+  return wire::DecodeResponsePayload(payload.data(), payload.size(), version);
+}
+
+/// Polls `done` every millisecond for up to five seconds.
+bool WaitFor(const std::function<bool()>& done) {
+  for (int spin = 0; spin < 5000; ++spin) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+double OpenConnections(const Server& server) {
+  return obs::Registry::Global()
+      .GetGauge(server.obs_prefix() + "open_connections")
+      ->value();
+}
+
+std::uint64_t BinaryRequests(const Server& server) {
+  return obs::Registry::Global()
+      .GetCounter(server.obs_prefix() + "binary_requests")
+      ->value();
+}
+
+/// The process's thread count, from the Threads: line of /proc/self/status.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return -1;
+}
+
+TEST(ServerLoopTest, FrameWrittenOneByteAtATimeIsAnswered) {
+  auto manager = MakeManager();
+  auto server = Server::Start(manager.get());
+  ASSERT_TRUE(server.ok());
+  auto fd = ConnectTcp("127.0.0.1", (*server)->port(), 2000);
+  ASSERT_TRUE(fd.ok());
+
+  const serve::Request request = RankedRequest(7);
+  for (const std::uint8_t byte : RequestFrame(request)) {
+    ASSERT_TRUE(WriteAll(fd->get(), &byte, 1, 2000).ok());
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  auto response = ReadResponseFrame(fd->get());
+  ASSERT_TRUE(response.ok()) << response.status();
+  ASSERT_TRUE(response->ok()) << response->message;
+  EXPECT_EQ(response->herb_ids, manager->Handle(request).herb_ids);
+}
+
+TEST(ServerLoopTest, SixtyFourFramesInOneWriteAreAnsweredInOrder) {
+  auto manager = MakeManager();
+  auto server = Server::Start(manager.get());  // max_pipeline 32 < 64
+  ASSERT_TRUE(server.ok());
+  auto fd = ConnectTcp("127.0.0.1", (*server)->port(), 2000);
+  ASSERT_TRUE(fd.ok());
+
+  // Distinct top_k per frame tags each response with its request.
+  constexpr std::size_t kFrames = 64;
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const std::vector<std::uint8_t> frame = RequestFrame(RankedRequest(1 + i % 40));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(WriteAll(fd->get(), burst.data(), burst.size(), 2000).ok());
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    auto response = ReadResponseFrame(fd->get());
+    ASSERT_TRUE(response.ok()) << "frame " << i << ": " << response.status();
+    ASSERT_TRUE(response->ok()) << response->message;
+    EXPECT_EQ(response->herb_ids.size(), 1 + i % 40) << "frame " << i;
+  }
+}
+
+TEST(ServerLoopTest, PeerResetMidFrameLeavesOtherConnectionsServed) {
+  serve::ModelManagerOptions mopts;
+  mopts.engine_options.max_wait_ms = 20.0;  // keep admitted requests queued
+  auto manager = MakeManager(mopts);
+  auto server = Server::Start(manager.get());
+  ASSERT_TRUE(server.ok());
+  ClientOptions copts;
+  copts.port = (*server)->port();
+  auto survivor = Client::Connect(copts);
+  ASSERT_TRUE(survivor.ok());
+
+  const std::vector<std::uint8_t> frame = RequestFrame(RankedRequest(5));
+  for (int round = 0; round < 8; ++round) {
+    auto fd = ConnectTcp("127.0.0.1", (*server)->port(), 2000);
+    ASSERT_TRUE(fd.ok());
+    // Four whole frames, then half of a fifth.
+    std::vector<std::uint8_t> bytes;
+    for (int i = 0; i < 4; ++i) {
+      bytes.insert(bytes.end(), frame.begin(), frame.end());
+    }
+    bytes.insert(bytes.end(), frame.begin(),
+                 frame.begin() + static_cast<std::ptrdiff_t>(frame.size() / 2));
+    const std::uint64_t before = BinaryRequests(**server);
+    ASSERT_TRUE(WriteAll(fd->get(), bytes.data(), bytes.size(), 2000).ok());
+    ASSERT_TRUE(WaitFor([&] { return BinaryRequests(**server) >= before + 4; }));
+    // SO_LINGER 0: close() sends RST while the four are still in flight.
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(fd->get(), SOL_SOCKET, SO_LINGER, &reset,
+                           sizeof(reset)),
+              0);
+    fd->Reset();
+    auto response = (*survivor)->Call(RankedRequest(3));
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_TRUE(response->ok()) << response->message;
+  }
+  // Every reset connection is gone; only the survivor remains open.
+  EXPECT_TRUE(WaitFor([&] { return OpenConnections(**server) == 1.0; }))
+      << OpenConnections(**server);
+  survivor->reset();
+  EXPECT_TRUE(WaitFor([&] { return OpenConnections(**server) == 0.0; }));
+}
+
+TEST(ServerLoopTest, ClientThatNeverReadsIsPausedThenTimedOut) {
+  auto manager = MakeManager();
+  ServerOptions sopts;
+  sopts.max_pipeline = 4;
+  sopts.write_timeout_ms = 300;
+  auto server = Server::Start(manager.get(), sopts);
+  ASSERT_TRUE(server.ok());
+
+  // A small receive window, set before connect so it is negotiated.
+  OwnedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(fd.valid());
+  const int window = 4096;
+  ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &window,
+                         sizeof(window)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons((*server)->port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  // Attributed all-herb rankings make every response a few kilobytes, so
+  // the kernel buffers fill after a small share of the burst.
+  serve::Request request = RankedRequest(40);
+  request.attribution = true;
+  const std::vector<std::uint8_t> frame = RequestFrame(request);
+  constexpr std::size_t kFrames = 20000;
+  std::vector<std::uint8_t> burst;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  // The write stalls once the server stops reading; it ends when the
+  // server resets the connection (or after its own timeout).
+  std::thread writer([&] {
+    (void)WriteAll(fd.get(), burst.data(), burst.size(), 5000);
+  });
+  // Admission stops well short of the burst: with max_pipeline responses
+  // unwritten the loop leaves the rest in the kernel.
+  std::uint64_t admitted = 0;
+  ASSERT_TRUE(WaitFor([&] {
+    const std::uint64_t seen = BinaryRequests(**server);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    admitted = BinaryRequests(**server);
+    return admitted > 0 && admitted == seen;
+  }));
+  EXPECT_LT(admitted, kFrames / 4);
+  // write_timeout_ms then closes the connection.
+  EXPECT_TRUE(WaitFor([&] { return OpenConnections(**server) == 0.0; }));
+  EXPECT_LT(BinaryRequests(**server), kFrames / 4);
+  writer.join();
+}
+
+TEST(ServerLoopTest, PipelinedHttpKeepAliveGetsAreAnsweredInOrder) {
+  auto manager = MakeManager();
+  auto server = Server::Start(manager.get());
+  ASSERT_TRUE(server.ok());
+  auto fd = ConnectTcp("127.0.0.1", (*server)->port(), 2000);
+  ASSERT_TRUE(fd.ok());
+
+  // The recommendation is answered by the engine, /healthz by the loop
+  // itself; the second must still wait its turn behind the first.
+  const std::string requests =
+      "GET /v1/recommend?symptoms=2,4,6&k=7 HTTP/1.1\r\nHost: t\r\n\r\n"
+      "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+  ASSERT_TRUE(WriteAll(fd->get(), requests.data(), requests.size(), 2000).ok());
+
+  // Each response is Content-Length framed; read until both are whole.
+  std::string raw;
+  std::vector<std::string> bodies;
+  while (bodies.size() < 2) {
+    const std::size_t head_end = raw.find("\r\n\r\n");
+    const std::size_t length_at = raw.find("Content-Length: ");
+    if (head_end != std::string::npos && length_at < head_end) {
+      const std::size_t length =
+          std::strtoul(raw.c_str() + length_at + 16, nullptr, 10);
+      if (raw.size() >= head_end + 4 + length) {
+        EXPECT_EQ(raw.rfind("HTTP/1.1 200", 0), 0u) << raw;
+        bodies.push_back(raw.substr(head_end + 4, length));
+        raw.erase(0, head_end + 4 + length);
+        continue;
+      }
+    }
+    ASSERT_TRUE(WaitReadable(fd->get(), 5000).ok());
+    char buf[4096];
+    const ssize_t n = ::recv(fd->get(), buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0);
+    raw.append(buf, static_cast<std::size_t>(n));
+  }
+  EXPECT_NE(bodies[0].find("\"status\":\"OK\""), std::string::npos)
+      << bodies[0];
+  EXPECT_EQ(bodies[1], "ok\n");
+}
+
+TEST(ServerLoopTest, IdleConnectionsAddNoThreadsAndAreCounted) {
+  auto manager = MakeManager();
+  ServerOptions sopts;
+  sopts.max_connections = 256;
+  auto server = Server::Start(manager.get(), sopts);
+  ASSERT_TRUE(server.ok());
+  // Threads joined by earlier tests can linger in the count for a moment;
+  // take the baseline once it holds still.
+  int threads = ProcessThreads();
+  ASSERT_TRUE(WaitFor([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int now = ProcessThreads();
+    return std::exchange(threads, now) == now;
+  }));
+  ASSERT_GT(threads, 0);
+
+  std::vector<OwnedFd> idle;
+  for (const std::size_t target : {std::size_t{10}, std::size_t{100}}) {
+    while (idle.size() < target) {
+      auto fd = ConnectTcp("127.0.0.1", (*server)->port(), 2000);
+      ASSERT_TRUE(fd.ok()) << fd.status();
+      idle.push_back(std::move(*fd));
+    }
+    EXPECT_TRUE(WaitFor([&] {
+      return OpenConnections(**server) == static_cast<double>(target);
+    })) << OpenConnections(**server);
+    // No thread per connection: the count never grows past the baseline.
+    EXPECT_LE(ProcessThreads(), threads) << target << " idle connections";
+  }
+
+  // The gauge is on /metrics with its own # HELP line.
+  auto metrics = HttpGet("127.0.0.1", (*server)->port(), "/metrics");
+  ASSERT_TRUE(metrics.ok());
+  std::string name = "smgcn_" + (*server)->obs_prefix() + "open_connections";
+  std::replace(name.begin(), name.end(), '.', '_');
+  EXPECT_NE(metrics->body.find("# HELP " + name + " "), std::string::npos)
+      << name;
+
+  idle.clear();
+  EXPECT_TRUE(WaitFor([&] { return OpenConnections(**server) == 0.0; }))
+      << OpenConnections(**server);
 }
 
 }  // namespace

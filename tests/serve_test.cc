@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -1181,7 +1182,7 @@ TEST(RequestSurfaceTest, RankedModeMatchesRecommend) {
   ASSERT_TRUE(legacy.ok());
 
   Request request;
-  request.symptoms = {2, 4, 6};
+  request.symptoms = std::vector<int>{2, 4, 6};
   request.top_k = 7;
   const Response response = engine->Handle(request);
   ASSERT_TRUE(response.ok()) << response.message;
@@ -1195,7 +1196,7 @@ TEST(RequestSurfaceTest, SubmitShimMatchesSubmitRequest) {
   ASSERT_TRUE(legacy.ok());
 
   Request request;
-  request.symptoms = {3, 9};
+  request.symptoms = std::vector<int>{3, 9};
   request.top_k = 5;
   const Response response = engine->SubmitRequest(std::move(request)).get();
   ASSERT_TRUE(response.ok()) << response.message;
@@ -1206,11 +1207,11 @@ TEST(RequestSurfaceTest, SubmitShimMatchesSubmitRequest) {
 TEST(RequestSurfaceTest, InvalidRequestsGetPerRequestErrors) {
   auto engine = MakeEngine();
   std::vector<Request> requests(3);
-  requests[0].symptoms = {1, 2};
+  requests[0].symptoms = std::vector<int>{1, 2};
   requests[0].top_k = 5;
-  requests[1].symptoms = {};  // empty: invalid
+  requests[1].symptoms = std::vector<int>{};  // empty: invalid
   requests[1].top_k = 5;
-  requests[2].symptoms = {999};  // out of range
+  requests[2].symptoms = std::vector<int>{999};  // out of range
   requests[2].top_k = 5;
   const auto responses = engine->HandleBatch(requests);
   EXPECT_TRUE(responses[0].ok());
@@ -1224,7 +1225,7 @@ TEST(RequestSurfaceTest, InvalidRequestsGetPerRequestErrors) {
 TEST(RequestSurfaceTest, VersionPinGuardsAcrossSwaps) {
   auto engine = MakeEngine();
   Request pinned;
-  pinned.symptoms = {1, 2};
+  pinned.symptoms = std::vector<int>{1, 2};
   pinned.top_k = 5;
   pinned.version = "v1";
   EXPECT_TRUE(engine->Handle(pinned).ok());
@@ -1251,7 +1252,7 @@ TEST(RequestSurfaceTest, VersionPinGuardsAcrossSwaps) {
 TEST(RequestSurfaceTest, AsyncRejectsDenseMode) {
   auto engine = MakeEngine();
   Request request;
-  request.symptoms = {1};
+  request.symptoms = std::vector<int>{1};
   request.top_k = 0;
   const Response response = engine->SubmitRequest(std::move(request)).get();
   EXPECT_EQ(response.status, StatusCode::kInvalidArgument);
@@ -1261,7 +1262,7 @@ TEST(RequestSurfaceTest, AsyncRejectsDenseMode) {
 TEST(RequestSurfaceTest, SyncDeadlineNeverReturnsLateOk) {
   auto engine = MakeEngine();
   Request request;
-  request.symptoms = {1, 2};
+  request.symptoms = std::vector<int>{1, 2};
   request.top_k = 5;
   request.deadline_ms = 1e-7;  // sub-nanosecond budget: always exceeded
   const Response response = engine->Handle(request);
@@ -1274,7 +1275,7 @@ TEST(RequestSurfaceTest, AsyncDeadlineExpiredBeforeBatchingIsSwept) {
   options.max_wait_ms = 50.0;  // would hold the batch well past the budget
   auto engine = MakeEngine(options);
   Request request;
-  request.symptoms = {1, 2};
+  request.symptoms = std::vector<int>{1, 2};
   request.top_k = 5;
   request.deadline_ms = 1e-7;
   const Response response = engine->SubmitRequest(std::move(request)).get();
@@ -1287,7 +1288,7 @@ TEST(RequestSurfaceTest, FeasibleDeadlineIsServedNotShed) {
   options.max_wait_ms = 5000.0;  // batcher would idle far past the budget...
   auto engine = MakeEngine(options);
   Request request;
-  request.symptoms = {1, 2};
+  request.symptoms = std::vector<int>{1, 2};
   request.top_k = 5;
   request.deadline_ms = 500.0;  // ...but the deadline flushes it early
   const auto start = std::chrono::steady_clock::now();
@@ -1310,7 +1311,7 @@ TEST(RequestSurfaceTest, FullQueueShedsWithSheddingStatus) {
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 10; ++i) {
     Request request;
-    request.symptoms = {1, 2};
+    request.symptoms = std::vector<int>{1, 2};
     request.top_k = 5;
     futures.push_back(engine->SubmitRequest(std::move(request)));
   }
@@ -1348,7 +1349,7 @@ TEST(RequestSurfaceTest, ShedRequestsCountInObsRegistry) {
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 4; ++i) {
     Request request;
-    request.symptoms = {1};
+    request.symptoms = std::vector<int>{1};
     request.top_k = 3;
     futures.push_back(engine->SubmitRequest(std::move(request)));
   }
@@ -1397,7 +1398,7 @@ TEST(RequestSurfaceTest, ShutdownDrainAnswersQueuedRequests) {
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 16; ++i) {
     Request request;
-    request.symptoms = {1, 2, 3};
+    request.symptoms = std::vector<int>{1, 2, 3};
     request.top_k = 5;
     futures.push_back(engine->SubmitRequest(std::move(request)));
   }
@@ -1406,10 +1407,181 @@ TEST(RequestSurfaceTest, ShutdownDrainAnswersQueuedRequests) {
     EXPECT_TRUE(f.get().ok());
   }
   Request late;
-  late.symptoms = {1};
+  late.symptoms = std::vector<int>{1};
   late.top_k = 5;
   EXPECT_EQ(engine->SubmitRequest(std::move(late)).get().status,
             StatusCode::kUnavailable);
+}
+
+// --------------------------------------------------------------------------
+// Callback admission: exactly once, the same Response as the future
+// --------------------------------------------------------------------------
+
+// Counts a SubmitRequest callback's invocations and keeps the first
+// Response.
+struct CallbackProbe {
+  std::atomic<int> calls{0};
+  std::promise<Response> first;
+};
+
+std::shared_ptr<CallbackProbe> SubmitWithCallback(ServingEngine* engine,
+                                                  Request request) {
+  auto probe = std::make_shared<CallbackProbe>();
+  engine->SubmitRequest(std::move(request), [probe](Response response) {
+    if (probe->calls.fetch_add(1) == 0) {
+      probe->first.set_value(std::move(response));
+    }
+  });
+  return probe;
+}
+
+// Submits `request` through the future overload and then the callback
+// overload, and checks the callback's Response against the future's. With
+// `synchronous` the callback must have fired before SubmitRequest
+// returned. Deadline messages carry timings, so `compare_message` may be
+// off. The probe goes to `probes` so the caller can count calls once the
+// engine has drained.
+Response ExpectCallbackMatchesFuture(
+    ServingEngine* engine, const Request& request, bool synchronous,
+    std::vector<std::shared_ptr<CallbackProbe>>* probes,
+    bool compare_message = true) {
+  const Response expected = engine->SubmitRequest(request).get();
+  auto probe = SubmitWithCallback(engine, request);
+  if (synchronous) {
+    EXPECT_EQ(probe->calls.load(), 1) << "fired after SubmitRequest returned";
+  }
+  const Response actual = probe->first.get_future().get();
+  EXPECT_EQ(actual.status, expected.status);
+  if (compare_message) {
+    EXPECT_EQ(actual.message, expected.message);
+  }
+  EXPECT_EQ(actual.herb_ids, expected.herb_ids);
+  EXPECT_EQ(actual.request_id, expected.request_id);
+  EXPECT_EQ(actual.model, expected.model);
+  EXPECT_EQ(actual.version, expected.version);
+  EXPECT_EQ(actual.attribution.has_value(), expected.attribution.has_value());
+  probes->push_back(std::move(probe));
+  return actual;
+}
+
+Request TaggedRequest(std::vector<int> symptoms, const std::string& tag) {
+  Request request;
+  request.symptoms = std::move(symptoms);
+  request.top_k = 5;
+  request.request_id = tag;  // fixed, so both overloads answer the same id
+  return request;
+}
+
+TEST(CallbackAdmissionTest, RejectionsFireOnceBeforeSubmitReturns) {
+  auto engine = MakeEngine();
+  std::vector<std::shared_ptr<CallbackProbe>> probes;
+
+  Request pinned = TaggedRequest(std::vector<int>{1, 2}, "cb-pin");
+  pinned.model = "other-model";
+  EXPECT_EQ(ExpectCallbackMatchesFuture(engine.get(), pinned, true, &probes)
+                .status,
+            StatusCode::kUnavailable);
+
+  EXPECT_EQ(ExpectCallbackMatchesFuture(
+                engine.get(), TaggedRequest(std::vector<int>{1, 9999}, "cb-range"),
+                true, &probes)
+                .status,
+            StatusCode::kInvalidArgument);
+
+  Request dense = TaggedRequest(std::vector<int>{1}, "cb-dense");
+  dense.top_k = 0;
+  EXPECT_EQ(
+      ExpectCallbackMatchesFuture(engine.get(), dense, true, &probes).status,
+      StatusCode::kInvalidArgument);
+
+  engine->Shutdown();
+  EXPECT_EQ(ExpectCallbackMatchesFuture(
+                engine.get(), TaggedRequest(std::vector<int>{1}, "cb-down"), true,
+                &probes)
+                .status,
+            StatusCode::kUnavailable);
+  for (const auto& probe : probes) EXPECT_EQ(probe->calls.load(), 1);
+}
+
+TEST(CallbackAdmissionTest, ShedAtQueueDepthFiresOnceBeforeSubmitReturns) {
+  ServingEngineOptions options;
+  options.max_batch_size = 64;
+  options.max_wait_ms = 400.0;  // hold the queue so it stays full
+  options.max_queue_depth = 1;
+  options.cache_capacity = 0;
+  auto engine = MakeEngine(options);
+  std::vector<std::shared_ptr<CallbackProbe>> probes;
+  auto filler = engine->SubmitRequest(TaggedRequest(std::vector<int>{1}, "fill"));
+  EXPECT_EQ(ExpectCallbackMatchesFuture(
+                engine.get(), TaggedRequest(std::vector<int>{1, 2}, "cb-shed"),
+                true, &probes)
+                .status,
+            StatusCode::kShedding);
+  engine->Shutdown();
+  EXPECT_TRUE(filler.get().ok());
+  for (const auto& probe : probes) EXPECT_EQ(probe->calls.load(), 1);
+}
+
+TEST(CallbackAdmissionTest, ScoredAndExpiredOutcomesFireOnce) {
+  ServingEngineOptions options;
+  options.max_wait_ms = 50.0;
+  auto engine = MakeEngine(options);
+  std::vector<std::shared_ptr<CallbackProbe>> probes;
+
+  Request ok = TaggedRequest(std::vector<int>{3, 1, 2}, "cb-ok");
+  ok.attribution = true;
+  const Response served =
+      ExpectCallbackMatchesFuture(engine.get(), ok, false, &probes);
+  EXPECT_TRUE(served.ok()) << served.message;
+  EXPECT_EQ(served.herb_ids, engine->Handle(ok).herb_ids);
+  EXPECT_TRUE(served.attribution.has_value());
+
+  Request expired = TaggedRequest(std::vector<int>{1, 2}, "cb-expired");
+  expired.deadline_ms = 1e-7;  // gone before the batcher can start it
+  const Response swept = ExpectCallbackMatchesFuture(
+      engine.get(), expired, false, &probes, /*compare_message=*/false);
+  EXPECT_EQ(swept.status, StatusCode::kDeadlineExceeded);
+  EXPECT_NE(swept.message.find("before scoring"), std::string::npos)
+      << swept.message;
+  engine->Shutdown();
+  for (const auto& probe : probes) EXPECT_EQ(probe->calls.load(), 1);
+}
+
+TEST(CallbackAdmissionTest, DeadlineExpiredDuringScoringFiresOnce) {
+  // The batch starts within the budget (it is cut at 80% of it), but an
+  // all-herb ranking with attribution over a wide catalogue cannot finish
+  // in time, so the post-scoring check answers. A late start on a loaded
+  // host shows up as "before scoring"; the budget then doubles.
+  ServingEngineOptions options;
+  options.max_wait_ms = 1000.0;
+  options.cache_capacity = 0;
+  auto engine = ServingEngine::Create(
+      MakeCheckpoint(64, 4000, 64, /*with_si_mlp=*/true,
+                     /*with_herb_bipar=*/true),
+      options);
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  std::vector<int> symptoms(32);
+  for (int i = 0; i < 32; ++i) symptoms[static_cast<std::size_t>(i)] = 2 * i;
+  std::vector<std::shared_ptr<CallbackProbe>> probes;
+  bool expired_after_scoring = false;
+  for (double budget_ms = 2.0; budget_ms <= 64.0 && !expired_after_scoring;
+       budget_ms *= 2.0) {
+    Request request = TaggedRequest(symptoms, "cb-late");
+    request.top_k = 4000;
+    request.attribution = true;
+    request.deadline_ms = budget_ms;
+    probes.push_back(SubmitWithCallback(engine->get(), std::move(request)));
+    const Response response = probes.back()->first.get_future().get();
+    if (response.ok()) continue;  // scored within the budget after all
+    EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
+    EXPECT_TRUE(response.herb_ids.empty());
+    EXPECT_EQ(response.request_id, "cb-late");
+    expired_after_scoring =
+        response.message.find("answered after") != std::string::npos;
+  }
+  (*engine)->Shutdown();
+  EXPECT_TRUE(expired_after_scoring);
+  for (const auto& probe : probes) EXPECT_EQ(probe->calls.load(), 1);
 }
 
 // --------------------------------------------------------------------------
@@ -1442,7 +1614,7 @@ void CheckAttributionInvariants(const Response& response,
 // reconstruction identities everywhere and be bit-identical across paths
 // and thread counts (row independence).
 TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
-  const std::vector<int> symptoms = {6, 2, 4, 2};     // canonical: {2,4,6}
+  const std::vector<int> symptoms = std::vector<int>{6, 2, 4, 2};     // canonical: {2,4,6}
   const std::vector<int> canonical = {2, 4, 6};
   constexpr std::size_t kTopK = 7;
   for (const tensor::Precision precision :
@@ -1489,10 +1661,10 @@ TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
 
       // Path 3: batched alongside unrelated queries.
       std::vector<Request> batch(3);
-      batch[0].symptoms = {1, 9};
+      batch[0].symptoms = std::vector<int>{1, 9};
       batch[0].top_k = kTopK;
       batch[1] = request;
-      batch[2].symptoms = {0, 23, 11};
+      batch[2].symptoms = std::vector<int>{0, 23, 11};
       batch[2].top_k = kTopK;
       const std::vector<Response> batched = (*engine)->HandleBatch(batch);
       ASSERT_TRUE(batched[1].ok());
@@ -1538,7 +1710,7 @@ TEST(AttributionTest, F64MatchesCheckpointReference) {
   auto engine = ServingEngine::Create(std::move(ckpt));
   ASSERT_TRUE(engine.ok());
   Request request;
-  request.symptoms = {2, 4, 6};
+  request.symptoms = std::vector<int>{2, 4, 6};
   request.top_k = 5;
   request.attribution = true;
   const Response response = (*engine)->Handle(request);
@@ -1566,7 +1738,7 @@ TEST(AttributionTest, WithoutBiparTableFallsBackToWholeScore) {
       MakeCheckpoint(24, 40, 8, true, /*with_herb_bipar=*/false));
   ASSERT_TRUE(engine.ok());
   Request request;
-  request.symptoms = {1, 3};
+  request.symptoms = std::vector<int>{1, 3};
   request.top_k = 5;
   request.attribution = true;
   const Response response = (*engine)->Handle(request);
@@ -1590,7 +1762,7 @@ TEST(AttributionTest, RequestIdMintedEchoedAndSlowLogged) {
 
   // Client-supplied id is echoed on the sync path...
   Request request;
-  request.symptoms = {2, 4};
+  request.symptoms = std::vector<int>{2, 4};
   request.top_k = 5;
   request.request_id = "client-id-7";
   const Response echoed = (*engine)->Handle(request);
@@ -1599,14 +1771,14 @@ TEST(AttributionTest, RequestIdMintedEchoedAndSlowLogged) {
 
   // ...and minted when absent, on both paths.
   Request minted_req;
-  minted_req.symptoms = {2, 4};
+  minted_req.symptoms = std::vector<int>{2, 4};
   minted_req.top_k = 5;
   const Response minted = (*engine)->Handle(minted_req);
   ASSERT_TRUE(minted.ok());
   EXPECT_FALSE(minted.request_id.empty());
   EXPECT_NE(minted.request_id, "client-id-7");
   Request async_req;
-  async_req.symptoms = {1, 5};
+  async_req.symptoms = std::vector<int>{1, 5};
   async_req.top_k = 5;
   async_req.request_id = "async-id-9";
   const Response async = (*engine)->SubmitRequest(std::move(async_req)).get();
@@ -1615,7 +1787,7 @@ TEST(AttributionTest, RequestIdMintedEchoedAndSlowLogged) {
 
   // Minted ids are unique across requests.
   Request another;
-  another.symptoms = {2, 4};
+  another.symptoms = std::vector<int>{2, 4};
   another.top_k = 5;
   const Response minted2 = (*engine)->Handle(another);
   EXPECT_NE(minted2.request_id, minted.request_id);
@@ -1641,7 +1813,7 @@ TEST(AttributionTest, ErrorsAndDenseModeCarryNoAttribution) {
   ASSERT_TRUE(engine.ok());
   // Invalid symptoms: error response still carries a request id.
   Request bad;
-  bad.symptoms = {9999};
+  bad.symptoms = std::vector<int>{9999};
   bad.top_k = 5;
   bad.attribution = true;
   bad.request_id = "bad-1";
@@ -1651,7 +1823,7 @@ TEST(AttributionTest, ErrorsAndDenseModeCarryNoAttribution) {
   EXPECT_EQ(error.request_id, "bad-1");
   // Dense mode ignores the attribution flag (ranked-only contract).
   Request dense;
-  dense.symptoms = {1, 2};
+  dense.symptoms = std::vector<int>{1, 2};
   dense.top_k = 0;
   dense.attribution = true;
   const Response scores = (*engine)->Handle(dense);
