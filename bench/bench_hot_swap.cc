@@ -34,7 +34,7 @@ namespace {
 constexpr std::size_t kNumSymptoms = 360;  // paper's corpus scale
 constexpr std::size_t kNumHerbs = 753;
 constexpr std::size_t kDim = 64;
-/// Queries fused per ScoreBatch op — the measured unit. Batching keeps one
+/// Queries fused per HandleBatch op — the measured unit. Batching keeps one
 /// op's cost (~hundreds of µs) far above the publisher's per-swap CPU cost,
 /// so percentiles reflect swap behaviour rather than scheduler noise.
 constexpr std::size_t kBatch = 32;
@@ -131,10 +131,10 @@ void CheckAttribution(const std::vector<double>& scores, int max_version,
   failures->fetch_add(1);
 }
 
-/// Runs reader threads issuing ScoreBatch ops until `ops_per_reader` (or,
-/// when `publisher` is set, until it has finished its publish stream),
-/// collecting per-op latencies. `publisher` runs on the calling thread and
-/// returns the number of publishes it performed.
+/// Runs reader threads issuing dense-mode HandleBatch ops until
+/// `ops_per_reader` (or, when `publisher` is set, until it has finished its
+/// publish stream), collecting per-op latencies. `publisher` runs on the
+/// calling thread and returns the number of publishes it performed.
 PhaseResult RunPhase(const std::string& phase, serve::ServingEngine* engine,
                      const std::vector<std::vector<int>>& pool,
                      std::size_t ops_per_reader,
@@ -151,26 +151,25 @@ PhaseResult RunPhase(const std::string& phase, serve::ServingEngine* engine,
     readers.emplace_back([&, r] {
       auto& lat = latencies[static_cast<std::size_t>(r)];
       lat.reserve(ops_per_reader);
-      std::vector<std::vector<int>> batch(kBatch);
+      std::vector<serve::Request> batch(kBatch);
+      for (serve::Request& request : batch) request.top_k = 0;  // dense
       std::size_t i = 0;
       while (stop != nullptr ? !stop->load(std::memory_order_relaxed)
                              : i < ops_per_reader) {
         for (std::size_t b = 0; b < kBatch; ++b) {
-          batch[b] = pool[(i * kBatch + b + static_cast<std::size_t>(r)) %
-                          pool.size()];
+          batch[b].symptoms =
+              pool[(i * kBatch + b + static_cast<std::size_t>(r)) %
+                   pool.size()];
         }
         Stopwatch watch;
-        auto scores = engine->ScoreBatch(batch);
+        const std::vector<serve::Response> responses =
+            engine->HandleBatch(batch);
         lat.push_back(watch.ElapsedSeconds());
-        if (!scores.ok() || scores->size() != kBatch) {
-          failures.fetch_add(1);
-        } else {
-          for (const auto& row : *scores) {
-            if (row.size() != kNumHerbs) {
-              failures.fetch_add(1);
-            } else {
-              CheckAttribution(row, max_version, &failures);
-            }
+        for (const serve::Response& response : responses) {
+          if (!response.ok() || response.scores.size() != kNumHerbs) {
+            failures.fetch_add(1);
+          } else {
+            CheckAttribution(response.scores, max_version, &failures);
           }
         }
         ++i;

@@ -103,12 +103,10 @@ std::vector<Matrix> SpmmOnce(const CsrMatrix& adj, const Matrix& x) {
 /// Trains the compact-corpus SMGCN for a fixed small epoch budget and
 /// returns the score matrix over a probe batch, which hashes the entire
 /// trained parameter state.
-std::vector<Matrix> TrainOnce(const data::TrainTestSplit& split,
-                              std::size_t threads) {
+std::vector<Matrix> TrainOnce(const data::TrainTestSplit& split) {
   core::ModelSpec spec = CompactSpecFor("SMGCN");
   spec.train.epochs = kEpochBudget;
   spec.train.validation_fraction = 0.0;
-  spec.train.num_threads = threads;
   auto model = core::MakeModel(spec);
   SMGCN_CHECK_OK(model.status());
   SMGCN_CHECK_OK((*model)->Fit(split.train));
@@ -161,14 +159,15 @@ bool Run() {
       {"spmm_2000xd24_f64",
        [&] { return SpmmOnce(adj, x); }},
       {StrFormat("train_epochs%zu_compact", kEpochBudget),
-       // TrainOnce applies the thread count itself via TrainConfig, which
-       // is the code path end users take.
-       [&] { return TrainOnce(split, parallel::GetNumThreads()); }},
+       [&] { return TrainOnce(split); }},
   };
 
   const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
   std::vector<Row> rows;
   bool all_identical = true;
+  // parallel::SetNumThreads is the one thread knob, for the kernels and for
+  // training alike; the caller's setting is restored afterwards.
+  const std::size_t previous_threads = parallel::GetNumThreads();
   for (const Workload& wl : workloads) {
     std::vector<Matrix> ref;
     double base_seconds = 0.0;
@@ -190,7 +189,7 @@ bool Run() {
       rows.push_back(row);
     }
   }
-  parallel::SetNumThreads(1);
+  parallel::SetNumThreads(previous_threads);
 
   TablePrinter table({"workload", "threads", "seconds", "speedup", "bit_id"});
   CsvWriter csv({"workload", "threads", "hardware_concurrency", "seconds",

@@ -10,6 +10,7 @@
 // least as fast as f32 and >= 4x f64 at the widest batch (ISSUE 8; the
 // boost_vs_f64 column records the measured factors). Writes
 // bench_results/serving_throughput.csv.
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -17,6 +18,8 @@
 
 #include "bench/bench_common.h"
 #include "src/core/checkpoint.h"
+#include "src/obs/metrics.h"
+#include "src/obs/registry.h"
 #include "src/serve/engine.h"
 #include "src/tensor/kernels.h"
 #include "src/util/csv.h"
@@ -102,7 +105,7 @@ using BatchOp = std::function<void(const std::vector<std::vector<int>>&)>;
 Measurement RunOnePass(const std::string& mode, std::size_t batch_size,
                        const std::vector<std::vector<int>>& queries,
                        const BatchOp& op) {
-  serve::LatencyHistogram latency;
+  obs::Histogram latency;
   Stopwatch total;
   std::size_t begin = 0;
   while (begin < queries.size()) {
@@ -143,6 +146,23 @@ std::vector<Measurement> MeasureBatchedPaired(
     }
   }
   return best;
+}
+
+/// Answers one batch through the engine's Request path: dense scores when
+/// `top_k` is 0, ranked top-k otherwise. Every response must be OK.
+void HandleAll(const serve::ServingEngine& engine,
+               const std::vector<std::vector<int>>& batch, std::size_t top_k,
+               bool attribution = false) {
+  std::vector<serve::Request> requests(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    requests[i].symptoms = batch[i];
+    requests[i].top_k = top_k;
+    requests[i].attribution = attribution;
+  }
+  for (const serve::Response& response : engine.HandleBatch(requests)) {
+    SMGCN_CHECK(response.ok()) << response.message;
+    SMGCN_CHECK(!attribution || response.attribution.has_value());
+  }
 }
 
 /// Runs `queries` through `op` (which consumes one batch of the given size)
@@ -196,7 +216,8 @@ bool Run() {
 
   // The f64 / f32 / int8 engines at each fusion width, with paired passes
   // per width: the precision acceptance bars below are QPS ratios between
-  // these three modes, so each trio shares its slice of host load.
+  // these three modes, so each trio shares its slice of host load. Each
+  // batch is one dense-mode (top_k == 0) HandleBatch call.
   std::vector<Measurement> f64_rows, f32_rows, s8_rows;
   for (const std::size_t batch : {8u, 32u, 128u}) {
     std::vector<Measurement> trio = MeasureBatchedPaired(
@@ -205,13 +226,13 @@ bool Run() {
          StrFormat("int8_%s_gemm_b%zu", tensor::kernels::ActiveName(), batch)},
         batch, queries,
         {[&](const std::vector<std::vector<int>>& b) {
-           SMGCN_CHECK_OK((*uncached_engine)->ScoreBatch(b).status());
+           HandleAll(**uncached_engine, b, 0);
          },
          [&](const std::vector<std::vector<int>>& b) {
-           SMGCN_CHECK_OK((*f32_engine)->ScoreBatch(b).status());
+           HandleAll(**f32_engine, b, 0);
          },
          [&](const std::vector<std::vector<int>>& b) {
-           SMGCN_CHECK_OK((*s8_engine)->ScoreBatch(b).status());
+           HandleAll(**s8_engine, b, 0);
          }});
     trio[1].boost_vs_f64 = trio[1].qps / trio[0].qps;
     trio[2].boost_vs_f64 = trio[2].qps / trio[0].qps;
@@ -228,7 +249,7 @@ bool Run() {
     Measurement m = MeasureBatched(
         "f32_scalar_gemm_b128", 128, queries,
         [&](const std::vector<std::vector<int>>& b) {
-          SMGCN_CHECK_OK((*f32_engine)->ScoreBatch(b).status());
+          HandleAll(**f32_engine, b, 0);
         });
     tensor::kernels::ForceScalar(false);
     m.boost_vs_f64 = m.qps / results[3].qps;
@@ -245,7 +266,7 @@ bool Run() {
     Measurement m = MeasureBatched(
         "int8_scalar_gemm_b128", 128, queries,
         [&](const std::vector<std::vector<int>>& b) {
-          SMGCN_CHECK_OK((*s8_engine)->ScoreBatch(b).status());
+          HandleAll(**s8_engine, b, 0);
         });
     tensor::kernels::ForceScalar(false);
     m.boost_vs_f64 = m.qps / results[3].qps;
@@ -253,11 +274,11 @@ bool Run() {
   }
 
   // Cached top-k serving: first pass warms, second pass measures.
-  SMGCN_CHECK_OK((*engine)->RecommendBatch(queries, kTopK).status());
+  HandleAll(**engine, queries, kTopK);
   results.push_back(MeasureBatched(
       "cached_topk_b128", 128, queries,
       [&](const std::vector<std::vector<int>>& b) {
-        SMGCN_CHECK_OK((*engine)->RecommendBatch(b, kTopK).status());
+        HandleAll(**engine, b, kTopK);
       }));
 
   // Attribution overhead: the audit decomposition (src/audit) is opt-in per
@@ -271,26 +292,14 @@ bool Run() {
     auto attr_engine = serve::ServingEngine::Create(
         MakeCheckpoint(/*with_herb_bipar=*/true), uncached);
     SMGCN_CHECK_OK(attr_engine.status());
-    const auto handle_topk = [&](const std::vector<std::vector<int>>& b,
-                                 bool attribution) {
-      std::vector<serve::Request> reqs;
-      reqs.reserve(b.size());
-      for (const auto& q : b) {
-        serve::Request req;
-        req.symptoms = q;
-        req.top_k = kTopK;
-        req.attribution = attribution;
-        reqs.push_back(std::move(req));
-      }
-      for (const serve::Response& res : (*attr_engine)->HandleBatch(reqs)) {
-        SMGCN_CHECK(res.ok());
-        SMGCN_CHECK(!attribution || res.attribution.has_value());
-      }
-    };
     std::vector<Measurement> pair = MeasureBatchedPaired(
         {"topk_b128_attr_off", "topk_b128_attr_on"}, 128, queries,
-        {[&](const std::vector<std::vector<int>>& b) { handle_topk(b, false); },
-         [&](const std::vector<std::vector<int>>& b) { handle_topk(b, true); }});
+        {[&](const std::vector<std::vector<int>>& b) {
+           HandleAll(**attr_engine, b, kTopK, /*attribution=*/false);
+         },
+         [&](const std::vector<std::vector<int>>& b) {
+           HandleAll(**attr_engine, b, kTopK, /*attribution=*/true);
+         }});
     results.push_back(pair[0]);
     results.push_back(pair[1]);
   }
@@ -315,11 +324,16 @@ bool Run() {
   table.Print();
   WriteResultsCsv("serving_throughput", csv);
 
-  const auto cache_stats = (*engine)->Stats().cache;
+  obs::Registry& registry = obs::Registry::Global();
+  const std::uint64_t hits =
+      registry.GetCounter((*engine)->obs_prefix() + "cache.hits")->value();
+  const std::uint64_t misses =
+      registry.GetCounter((*engine)->obs_prefix() + "cache.misses")->value();
   std::printf("\ncached pass: hits=%llu misses=%llu hit_rate=%.1f%%\n",
-              static_cast<unsigned long long>(cache_stats.hits),
-              static_cast<unsigned long long>(cache_stats.misses),
-              cache_stats.hit_rate() * 100.0);
+              static_cast<unsigned long long>(hits),
+              static_cast<unsigned long long>(misses),
+              100.0 * static_cast<double>(hits) /
+                  static_cast<double>(hits + misses));
 
   std::printf("\nattribution overhead (b=128 top-k): off %.0f qps, on %.0f "
               "qps (opt-in cost %.1f%%)\n",

@@ -36,9 +36,9 @@
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/net/socket.h"
+#include "src/obs/metrics.h"
 #include "src/obs/registry.h"
 #include "src/serve/model_manager.h"
-#include "src/serve/stats.h"
 #include "src/util/random.h"
 #include "src/util/stopwatch.h"
 #include "src/util/string_util.h"
@@ -136,7 +136,7 @@ struct StepResult {
 };
 
 void Accumulate(StepResult* step, const serve::Response& response,
-                double latency_seconds, serve::LatencyHistogram* ok_latency) {
+                double latency_seconds, obs::Histogram* ok_latency) {
   switch (response.status) {
     case serve::StatusCode::kOk:
       ++step->ok;
@@ -166,7 +166,7 @@ StepResult RunClosedLoop(std::uint16_t port,
                          double seconds) {
   StepResult step;
   step.step = "closed_loop";
-  serve::LatencyHistogram ok_latency;
+  obs::Histogram ok_latency;
   std::mutex mu;  // guards step + ok_latency
   Stopwatch wall;
   const auto stop_at =
@@ -249,8 +249,8 @@ StepResult RunOpenLoop(const std::string& label, std::uint16_t port,
   StepResult step;
   step.step = label;
   step.offered_qps = offered_qps;
-  serve::LatencyHistogram ok_latency;
-  serve::LatencyHistogram send_lag;
+  obs::Histogram ok_latency;
+  obs::Histogram send_lag;
   std::mutex mu;  // guards step + ok_latency + send_lag
   Stopwatch wall;
   const double interval_s = kConnections / offered_qps;

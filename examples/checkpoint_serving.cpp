@@ -8,6 +8,7 @@
 // Run: ./build/examples/checkpoint_serving
 #include <cstdio>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,8 @@
 #include "src/core/smgcn_model.h"
 #include "src/data/split.h"
 #include "src/data/tcm_generator.h"
+#include "src/obs/metrics.h"
+#include "src/obs/registry.h"
 #include "src/serve/engine.h"
 #include "src/serve/model_manager.h"
 #include "src/util/logging.h"
@@ -181,10 +184,23 @@ int main() {
 
   (*manager)->Shutdown();  // drain: every future above has resolved
 
-  const serve::ServingStatsSnapshot stats = live->Stats();
   std::printf("\nserved %d queries in %.2fs (%.0f QPS end-to-end)\n",
               kClients * kQueriesPerClient, load_seconds,
               kClients * kQueriesPerClient / load_seconds);
-  std::printf("engine stats: %s\n", stats.ToString().c_str());
+  // The engine's summary, read from its registry scope: the same
+  // instruments /metrics and the run report export.
+  obs::Registry& registry = obs::Registry::Global();
+  const std::string& scope = live->obs_prefix();
+  const auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(
+        registry.GetCounter(scope + name)->value());
+  };
+  const obs::Histogram* latency =
+      registry.GetHistogram(scope + "latency.seconds");
+  std::printf("engine %s: queries=%llu batches=%llu | latency ms p50=%.3f "
+              "p99=%.3f | cache hits=%llu misses=%llu\n",
+              scope.c_str(), count("queries"), count("batches"),
+              latency->Percentile(0.50) * 1e3, latency->Percentile(0.99) * 1e3,
+              count("cache.hits"), count("cache.misses"));
   return 0;
 }

@@ -10,8 +10,9 @@
 //   trace.json      — Chrome trace-event timeline (chrome://tracing or
 //                     https://ui.perfetto.dev)
 //   telemetry.jsonl — one JSON record per training epoch
-//   report.md       — registry snapshot + telemetry tail + trace stats +
-//                     serving stats + slow-query table
+//   report.md       — registry snapshot (serving counters and latency
+//                     included) + telemetry tail + trace stats +
+//                     slow-query table
 //
 // Run: ./build/examples/run_report [output_dir]
 #include <cstdio>
@@ -127,8 +128,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(trace_stats.dropped),
               trace_stats.threads, trace_path.c_str());
 
+  // The engine's counters and latency histogram are registry instruments,
+  // which WriteRunReport renders itself; only the slow-query log needs its
+  // own section.
   std::vector<obs::RunReportSection> sections;
-  sections.push_back({"Serving stats", (*engine)->Stats().ToString() + "\n"});
   sections.push_back(
       {"Slow queries", (*engine)->slow_query_log().RenderMarkdown()});
   obs::RunReportOptions report_options;

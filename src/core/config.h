@@ -45,17 +45,6 @@ struct TrainConfig {
   double validation_fraction = 0.0;
   std::size_t patience = 5;
 
-  /// DEPRECATED thread knob (kept for compatibility): worker threads for
-  /// the tensor/graph kernels. 0 — the recommended setting — keeps the
-  /// process-wide smgcn::parallel configuration untouched; any other value
-  /// is forwarded to parallel::SetNumThreads before the first epoch,
-  /// mutating the process-wide worker count. Prefer calling
-  /// parallel::SetNumThreads once at startup instead. Deterministic either
-  /// way: the kernels partition over output rows, so losses, gradients and
-  /// trained parameters are bit-identical at every setting. See
-  /// docs/API_TOUR.md §Parallelism.
-  std::size_t num_threads = 0;
-
   Status Validate() const;
 };
 

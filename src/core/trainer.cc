@@ -153,13 +153,6 @@ Result<TrainSummary> TrainModel(const data::Corpus& train, const TrainConfig& co
     return Status::FailedPrecondition("parameter store is empty");
   }
 
-  if (config.num_threads > 0) {
-    LogWarningOnce("TrainConfig.num_threads",
-                   "TrainConfig::num_threads is deprecated; call "
-                   "parallel::SetNumThreads() once at startup instead");
-    parallel::SetNumThreads(config.num_threads);
-  }
-
   const std::vector<double> herb_weights =
       nn::InverseFrequencyWeights(train.HerbFrequencies());
 

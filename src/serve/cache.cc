@@ -61,6 +61,8 @@ void ShardedTopKCache::Insert(std::uint64_t key, std::vector<int> symptom_ids,
     shard.lru.pop_back();
     shard.entries.erase(victim);
     evictions_->Increment();
+  } else {
+    size_->Add(1.0);
   }
   shard.lru.push_front(key);
   Entry entry;
@@ -81,13 +83,13 @@ CacheStats ShardedTopKCache::Stats() const {
     std::lock_guard<std::mutex> lock(shard.mu);
     stats.size += shard.entries.size();
   }
-  size_->Set(static_cast<double>(stats.size));
   return stats;
 }
 
 void ShardedTopKCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
+    size_->Add(-static_cast<double>(shard.entries.size()));
     shard.entries.clear();
     shard.lru.clear();
   }

@@ -13,10 +13,10 @@
 //   <prefix>hits       counter
 //   <prefix>misses     counter
 //   <prefix>evictions  counter
-//   <prefix>size       gauge (refreshed by Stats())
+//   <prefix>size       gauge (live entry count)
 //   <prefix>capacity   gauge
 //
-// Stats() assembles the CacheStats compatibility view from them.
+// Stats() aggregates the same counts into one CacheStats value.
 #ifndef SMGCN_SERVE_CACHE_H_
 #define SMGCN_SERVE_CACHE_H_
 

@@ -87,8 +87,8 @@ std::vector<float> DequantizeTableF32(const std::vector<std::int8_t>& q,
 
 /// Pre-packs the transposed herb table into the active kernel backend's
 /// gemm_s8_packed layout, hoisting the GEMM's per-call bt widening to build
-/// time. Empty when the backend has no packed form (scalar) — ScoreBatchS8
-/// then passes nullptr and the kernel handles bt itself.
+/// time. Empty when the backend has no packed form (scalar) —
+/// ScoreBatchS8Raw then passes nullptr and the kernel handles bt itself.
 std::vector<std::int32_t> PackHerbsS8(const std::vector<std::int8_t>& bt,
                                       std::size_t d, std::size_t h) {
   const tensor::kernels::Backend& kern = tensor::kernels::Active();
@@ -258,19 +258,6 @@ tensor::Matrix EmbeddingStore::PoolSymptoms(
   return pooled;
 }
 
-tensor::Matrix EmbeddingStore::ScoreBatch(
-    const std::vector<CanonicalQuery>& batch) const {
-  switch (precision_) {
-    case tensor::Precision::kFloat32:
-      return ScoreBatchF32(batch);
-    case tensor::Precision::kInt8:
-      return ScoreBatchS8(batch);
-    case tensor::Precision::kFloat64:
-      break;
-  }
-  return ScoreBatchF64(batch);
-}
-
 void EmbeddingStore::ScoreBatchInto(const std::vector<CanonicalQuery>& batch,
                                     std::vector<double>* rows) const {
   const std::size_t h = num_herbs();
@@ -386,20 +373,6 @@ const float* EmbeddingStore::ScoreBatchF32Raw(
   return scores.data();
 }
 
-tensor::Matrix EmbeddingStore::ScoreBatchF32(
-    const std::vector<CanonicalQuery>& batch) const {
-  const std::size_t h = num_herbs();
-  const float* scores = ScoreBatchF32Raw(batch);
-  // Widened on the way out — the engine's top-k and cache layers stay
-  // precision-agnostic. Uninitialized: the widen loop writes every element,
-  // so the fill constructor's zero sweep over b x H doubles would be waste.
-  tensor::Matrix out = tensor::Matrix::Uninitialized(batch.size(), h);
-  double* dst = out.data();
-  const std::size_t n = batch.size() * h;
-  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<double>(scores[i]);
-  return out;
-}
-
 const float* EmbeddingStore::ScoreBatchS8Raw(
     const std::vector<CanonicalQuery>& batch) const {
   const std::size_t d = dim();
@@ -442,22 +415,10 @@ const float* EmbeddingStore::ScoreBatchS8Raw(
   return scores.data();
 }
 
-tensor::Matrix EmbeddingStore::ScoreBatchS8(
-    const std::vector<CanonicalQuery>& batch) const {
-  const std::size_t h = num_herbs();
-  const float* scores = ScoreBatchS8Raw(batch);
-  // Uninitialized for the same reason as the f32 path: the widen writes
-  // every element.
-  tensor::Matrix out = tensor::Matrix::Uninitialized(batch.size(), h);
-  double* dst = out.data();
-  const std::size_t n = batch.size() * h;
-  for (std::size_t i = 0; i < n; ++i) dst[i] = static_cast<double>(scores[i]);
-  return out;
-}
-
 std::vector<double> EmbeddingStore::ScoreOne(const CanonicalQuery& query) const {
-  const tensor::Matrix scores = ScoreBatch({query});
-  return std::vector<double>(scores.data(), scores.data() + scores.cols());
+  std::vector<double> scores;
+  ScoreBatchInto({query}, &scores);
+  return scores;
 }
 
 Result<audit::QueryAttribution> EmbeddingStore::Attribute(

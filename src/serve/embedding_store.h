@@ -89,20 +89,17 @@ class EmbeddingStore {
   /// num_symptoms()). Double-precision (reference-path) pooling.
   tensor::Matrix PoolSymptoms(const std::vector<CanonicalQuery>& batch) const;
 
-  /// Scores every herb for every query in one fused pass (B x H). Row i is
-  /// bit-identical to ScoreOne(batch[i]). The f32 store computes in float
-  /// through the dispatched kernels and widens the result.
-  tensor::Matrix ScoreBatch(const std::vector<CanonicalQuery>& batch) const;
-
-  /// Same scores as ScoreBatch, written into rows[0..batch.size()) (each
-  /// row is assigned H doubles). The serving hot path: reduced-precision
-  /// stores widen their f32 scores directly into the caller's buffers,
-  /// skipping the intermediate b x H f64 Matrix allocation and the second
-  /// per-row copy the Matrix return forces on the engine.
+  /// Scores every herb for every query in one fused pass, writing query
+  /// i's H scores into rows[i] for i in [0, batch.size()). The one scoring
+  /// entry point: each precision dispatches here, and row i is
+  /// bit-identical to ScoreOne(batch[i]). Reduced-precision stores compute
+  /// in float through the dispatched kernels and widen straight into the
+  /// caller's rows, with no intermediate b x H f64 matrix.
   void ScoreBatchInto(const std::vector<CanonicalQuery>& batch,
                       std::vector<double>* rows) const;
 
-  /// Herb scores for a single canonical query.
+  /// Herb scores for a single canonical query (ScoreBatchInto with a batch
+  /// of one).
   std::vector<double> ScoreOne(const CanonicalQuery& query) const;
 
   /// True when the store carries the pre-fusion Bipar-GCN herb component
@@ -128,13 +125,11 @@ class EmbeddingStore {
  private:
   EmbeddingStore() = default;
 
+  /// Per-precision scoring guts behind ScoreBatchInto. The f64 path returns
+  /// the b x H reference matrix; the f32/int8 paths compute the score block
+  /// in f32 and return a pointer into per-thread scratch (valid until the
+  /// next call on this thread).
   tensor::Matrix ScoreBatchF64(const std::vector<CanonicalQuery>& batch) const;
-  tensor::Matrix ScoreBatchF32(const std::vector<CanonicalQuery>& batch) const;
-  tensor::Matrix ScoreBatchS8(const std::vector<CanonicalQuery>& batch) const;
-  /// f32/int8 scoring guts: compute the b x H score block in f32 and return
-  /// a pointer into per-thread scratch (valid until the next call on this
-  /// thread). ScoreBatch* wrap these with the f64 widen; ScoreBatchInto
-  /// widens straight into caller rows.
   const float* ScoreBatchF32Raw(const std::vector<CanonicalQuery>& batch) const;
   const float* ScoreBatchS8Raw(const std::vector<CanonicalQuery>& batch) const;
   /// Shared f32 mean-pool + SI MLP (both reduced-precision paths run the
@@ -189,7 +184,7 @@ class EmbeddingStore {
   // Build-time pre-pack of herbs_t_s8_ in the active kernel backend's
   // gemm_s8_packed layout — another derived cache (herbs_t_s8_ stays the
   // stored truth). Empty when the backend has no packed form (scalar);
-  // ScoreBatchS8 then passes nullptr and the kernel packs internally.
+  // ScoreBatchS8Raw then passes nullptr and the kernel packs internally.
   std::vector<std::int32_t> herb_packed_;
 };
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "src/eval/metrics.h"
@@ -39,13 +40,17 @@ std::uint64_t NextSnapshotSalt() {
 
 /// Process-unique request ids for the audit trail: a counter run through
 /// the same mixer (so consecutive ids share no visible structure), rendered
-/// as 16 lowercase hex chars.
+/// as 16 lowercase hex chars. Formatted by hand: every request mints one,
+/// and a printf-family call would cost more than the rest of admission.
 std::string MintRequestId() {
   static std::atomic<std::uint64_t> next{1};
-  const std::uint64_t id = CombineKey(
-      0x534d47434e524944ull /* "SMGCNRID" */,
-      next.fetch_add(1, std::memory_order_relaxed));
-  return StrFormat("%016llx", static_cast<unsigned long long>(id));
+  std::uint64_t id = CombineKey(0x534d47434e524944ull /* "SMGCNRID" */,
+                                next.fetch_add(1, std::memory_order_relaxed));
+  std::string out(16, '0');
+  for (std::size_t i = 16; i-- > 0; id >>= 4) {
+    out[i] = "0123456789abcdef"[id & 0xf];
+  }
+  return out;
 }
 
 /// Marks the request on the Chrome trace timeline so a slow-log or
@@ -54,6 +59,20 @@ std::string MintRequestId() {
 /// trace is being recorded.
 void TraceRequestInstant(const std::string& request_id) {
   if (obs::trace::Enabled()) obs::trace::Instant("request/" + request_id);
+}
+
+/// The Response every async outcome starts from: `status` (with its
+/// message on errors), the request's correlation id, and the model/version
+/// of the snapshot the request was bound to.
+Response AsyncResponse(const Status& status, std::string request_id,
+                       const ModelSnapshot& snap) {
+  Response resp;
+  resp.status = FromInternalStatus(status);
+  if (!status.ok()) resp.message = status.message();
+  resp.request_id = std::move(request_id);
+  resp.model = snap.store.model_name();
+  resp.version = snap.version;
+  return resp;
 }
 }  // namespace
 
@@ -156,23 +175,8 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::CreateFromSnapshot(
     return Status::InvalidArgument(
         "batcher_nice must be non-negative (raising priority is privileged)");
   }
-  if (options.num_threads == 0) {
-    // The unified parallel configuration story: pool sizing follows the
-    // process-wide smgcn::parallel worker count unless explicitly
-    // overridden through the deprecated per-engine knob.
-    options.num_threads = parallel::GetNumThreads();
-  } else {
-    LogWarningOnce("ServingEngineOptions.num_threads",
-                   "ServingEngineOptions::num_threads is deprecated; leave it "
-                   "0 and call parallel::SetNumThreads() once at startup");
-  }
-  if (options.kernel_threads > 0) {
-    LogWarningOnce("ServingEngineOptions.kernel_threads",
-                   "ServingEngineOptions::kernel_threads is deprecated; call "
-                   "parallel::SetNumThreads() once at startup instead");
-    // Deprecated per-engine override of the process-wide kernel workers.
-    parallel::SetNumThreads(options.kernel_threads);
-  }
+  // Pool sizing follows the process-wide smgcn::parallel worker count.
+  if (options.num_threads == 0) options.num_threads = parallel::GetNumThreads();
   return std::unique_ptr<ServingEngine>(
       new ServingEngine(std::move(snapshot), options));
 }
@@ -272,33 +276,6 @@ std::vector<std::vector<double>> ServingEngine::ScoreCanonical(
               out.data() + begin);
         }
       });
-  return out;
-}
-
-Result<std::vector<std::vector<double>>> ServingEngine::ScoreBatch(
-    const std::vector<std::vector<int>>& queries) const {
-  LogWarningOnce("ServingEngine.ScoreBatch",
-                 "ServingEngine::ScoreBatch is deprecated; build serve::Request "
-                 "with top_k == 0 and call HandleBatch");
-  const auto start = std::chrono::steady_clock::now();
-  // One snapshot per call: the whole batch scores on a single version even
-  // if a Publish lands mid-flight.
-  const std::shared_ptr<const ModelSnapshot> snap = Snapshot();
-  std::vector<CanonicalQuery> canonical;
-  canonical.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    auto query = Canonicalize(queries[i], snap->store.num_symptoms());
-    if (!query.ok()) {
-      return Status::InvalidArgument(StrFormat(
-          "query %zu: %s", i, query.status().message().c_str()));
-    }
-    canonical.push_back(*std::move(query));
-  }
-  if (canonical.empty()) return std::vector<std::vector<double>>{};
-
-  auto out = ScoreCanonical(*snap, canonical);
-  stats_.RecordBatch(canonical.size());
-  stats_.RecordQueries(canonical.size(), SecondsSince(start));
   return out;
 }
 
@@ -416,8 +393,8 @@ std::vector<Response> ServingEngine::HandleBatch(
     auto query = Canonicalize(requests[i].symptoms, snap->store.num_symptoms());
     if (!query.ok()) {
       // The raw canonicalize message, unprefixed: per-request errors are
-      // already index-aligned, and shims that need the legacy "query %zu:"
-      // prefix reconstruct it from their own loop index.
+      // already index-aligned (EngineRecommender::ScoreBatch adds its
+      // "query %zu:" prefix from its own loop index).
       resp.status = StatusCode::kInvalidArgument;
       resp.message = query.status().message();
       continue;
@@ -441,9 +418,12 @@ std::vector<Response> ServingEngine::HandleBatch(
 
   std::size_t answered = 0;
   if (!dense.empty()) {
+    // Dense requests need their canonical query only for this GEMM.
     std::vector<CanonicalQuery> queries;
     queries.reserve(dense.size());
-    for (const std::size_t i : dense) queries.push_back(canonical[i]);
+    for (const std::size_t i : dense) {
+      queries.push_back(std::move(canonical[i]));
+    }
     auto rows = ScoreCanonical(*snap, queries);
     for (std::size_t j = 0; j < dense.size(); ++j) {
       out[dense[j]].scores = std::move(rows[j]);
@@ -516,68 +496,17 @@ std::vector<Response> ServingEngine::HandleBatch(
   return out;
 }
 
-Result<std::vector<std::vector<std::size_t>>> ServingEngine::RecommendBatch(
-    const std::vector<std::vector<int>>& queries, std::size_t k) const {
-  LogWarningOnce("ServingEngine.RecommendBatch",
-                 "ServingEngine::RecommendBatch is deprecated; build "
-                 "serve::Request with top_k >= 1 and call HandleBatch");
-  const auto start = std::chrono::steady_clock::now();
-  const std::shared_ptr<const ModelSnapshot> snap = Snapshot();
-  std::vector<CanonicalQuery> canonical;
-  canonical.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    auto query = Canonicalize(queries[i], snap->store.num_symptoms());
-    if (!query.ok()) {
-      return Status::InvalidArgument(StrFormat(
-          "query %zu: %s", i, query.status().message().c_str()));
-    }
-    canonical.push_back(*std::move(query));
-  }
-  std::vector<QueryStages> stages;
-  auto results = RecommendCanonical(*snap, canonical, k,
-                                    slow_log_.enabled() ? &stages : nullptr);
-  const double latency = SecondsSince(start);
-  stats_.RecordQueries(results.size(), latency);
-  if (slow_log_.enabled() && latency >= slow_log_.threshold_seconds()) {
-    // Synchronous queries share the batch's wall time; queue and coalesce
-    // are async-only stages and stay zero.
-    for (std::size_t i = 0; i < canonical.size(); ++i) {
-      SlowQueryRecord record;
-      record.symptom_ids = canonical[i].symptom_ids;
-      record.key = canonical[i].key;
-      record.k = k;
-      record.total_seconds = latency;
-      record.gemm_seconds = stages[i].gemm_seconds;
-      record.topk_seconds = stages[i].topk_seconds;
-      record.cache_hit = stages[i].cache_hit;
-      record.batch_size = stages[i].batch_size;
-      record.model = snap->store.model_name();
-      record.model_version = snap->version;
-      slow_log_.Record(std::move(record));
-    }
-  }
-  return results;
+std::future<Response> ServingEngine::SubmitRequest(Request request) {
+  auto promise = std::make_shared<std::promise<Response>>();
+  auto future = promise->get_future();
+  SubmitRequest(std::move(request), [promise](Response resp) {
+    promise->set_value(std::move(resp));
+  });
+  return future;
 }
 
-Result<std::vector<double>> ServingEngine::Score(
-    const std::vector<int>& symptoms) const {
-  LogWarningOnce("ServingEngine.Score",
-                 "ServingEngine::Score is deprecated; build serve::Request "
-                 "with top_k == 0 and call Handle");
-  ASSIGN_OR_RETURN(auto batch, ScoreBatch({symptoms}));
-  return std::move(batch.front());
-}
-
-Result<std::vector<std::size_t>> ServingEngine::Recommend(
-    const std::vector<int>& symptoms, std::size_t k) const {
-  LogWarningOnce("ServingEngine.Recommend",
-                 "ServingEngine::Recommend is deprecated; build serve::Request "
-                 "with top_k >= 1 and call Handle");
-  ASSIGN_OR_RETURN(auto batch, RecommendBatch({symptoms}, k));
-  return std::move(batch.front());
-}
-
-void ServingEngine::SubmitInternal(Request incoming, DeliverFn deliver) {
+void ServingEngine::SubmitRequest(Request incoming,
+                                  std::function<void(Response)> done) {
   submitted_->Increment();
   PendingRequest request;
   request.enqueue_time = std::chrono::steady_clock::now();
@@ -591,25 +520,25 @@ void ServingEngine::SubmitInternal(Request incoming, DeliverFn deliver) {
                            ? MintRequestId()
                            : std::move(incoming.request_id);
   request.attribution = incoming.attribution;
+  request.deliver = std::move(done);
   TraceRequestInstant(request.request_id);
-  if (!incoming.model.empty() || !incoming.version.empty()) {
-    const Status pin_status = CheckPins(incoming, request.snapshot);
-    if (!pin_status.ok()) {
-      deliver(pin_status, {}, std::nullopt, request.request_id,
-              request.snapshot);
-      return;
-    }
+  // Answers a request rejected at admission, before SubmitRequest returns.
+  const auto reject = [&request](const Status& status) {
+    request.deliver(AsyncResponse(status, std::move(request.request_id),
+                                  *request.snapshot));
+  };
+  if (incoming.top_k == 0) {
+    return reject(Status::InvalidArgument(
+        "dense-score mode (top_k == 0) is synchronous-only; use Handle"));
   }
+  const Status pins = CheckPins(incoming, request.snapshot);
+  if (!pins.ok()) return reject(pins);
   // Clamp over-catalog ks at admission so they micro-batch into one
   // (snapshot, k) group; RecommendCanonical clamps again for the sync path.
   request.k = std::min(incoming.top_k, request.snapshot->store.num_herbs());
   auto query = Canonicalize(incoming.symptoms,
                             request.snapshot->store.num_symptoms());
-  if (!query.ok()) {
-    deliver(query.status(), {}, std::nullopt, request.request_id,
-            request.snapshot);
-    return;
-  }
+  if (!query.ok()) return reject(query.status());
   request.query = *std::move(query);
   if (incoming.deadline_ms > 0.0) {
     const auto budget =
@@ -623,7 +552,6 @@ void ServingEngine::SubmitInternal(Request incoming, DeliverFn deliver) {
     request.deadline = std::chrono::steady_clock::time_point::max();
     request.flush_by = request.deadline;
   }
-  request.deliver = std::move(deliver);
 
   bool shut_down = false;
   bool shed = false;
@@ -641,94 +569,16 @@ void ServingEngine::SubmitInternal(Request incoming, DeliverFn deliver) {
   // Deliver rejections outside queue_mu_: the callback resolves a caller's
   // future and must never run under the engine's queue lock.
   if (shut_down) {
-    request.deliver(Status::FailedPrecondition(
-                        "ServingEngine is shut down; no new queries accepted"),
-                    {}, std::nullopt, request.request_id, request.snapshot);
-    return;
+    return reject(Status::Unavailable(
+        "ServingEngine is shut down; no new queries accepted"));
   }
   if (shed) {
     shed_->Increment();
-    request.deliver(
-        Status::ResourceExhausted(StrFormat(
-            "admission queue full (max_queue_depth=%zu); load-shedding",
-            options_.max_queue_depth)),
-        {}, std::nullopt, request.request_id, request.snapshot);
-    return;
+    return reject(Status::ResourceExhausted(
+        StrFormat("admission queue full (max_queue_depth=%zu); load-shedding",
+                  options_.max_queue_depth)));
   }
   queue_cv_.notify_one();
-}
-
-template <typename Sink>
-void ServingEngine::SubmitWith(Request request, Sink sink) {
-  if (request.top_k == 0) {
-    Response resp;
-    resp.status = StatusCode::kInvalidArgument;
-    resp.message =
-        "dense-score mode (top_k == 0) is synchronous-only; use Handle";
-    resp.request_id = request.request_id;
-    sink(std::move(resp));
-    return;
-  }
-  SubmitInternal(
-      std::move(request),
-      [sink = std::move(sink)](
-          const Status& status, std::vector<std::size_t> ids,
-          std::optional<audit::QueryAttribution> attribution,
-          const std::string& request_id,
-          const std::shared_ptr<const ModelSnapshot>& snap) mutable {
-        Response resp;
-        resp.status = FromInternalStatus(status);
-        if (!status.ok()) resp.message = status.message();
-        resp.herb_ids = std::move(ids);
-        resp.attribution = std::move(attribution);
-        resp.request_id = request_id;
-        if (snap != nullptr) {
-          resp.model = snap->store.model_name();
-          resp.version = snap->version;
-        }
-        sink(std::move(resp));
-      });
-}
-
-std::future<Response> ServingEngine::SubmitRequest(Request request) {
-  auto promise = std::make_shared<std::promise<Response>>();
-  auto future = promise->get_future();
-  SubmitWith(std::move(request), [promise](Response resp) {
-    promise->set_value(std::move(resp));
-  });
-  return future;
-}
-
-void ServingEngine::SubmitRequest(Request request,
-                                  std::function<void(Response)> done) {
-  SubmitWith(std::move(request), std::move(done));
-}
-
-std::future<Result<std::vector<std::size_t>>> ServingEngine::Submit(
-    std::vector<int> symptoms, std::size_t k) {
-  LogWarningOnce("ServingEngine.Submit",
-                 "ServingEngine::Submit is deprecated; use "
-                 "SubmitRequest(serve::Request)");
-  auto promise =
-      std::make_shared<std::promise<Result<std::vector<std::size_t>>>>();
-  auto future = promise->get_future();
-  Request request;
-  request.symptoms = std::move(symptoms);
-  request.top_k = k;
-  SubmitInternal(
-      std::move(request),
-      [promise](const Status& status, std::vector<std::size_t> ids,
-                std::optional<audit::QueryAttribution>, const std::string&,
-                const std::shared_ptr<const ModelSnapshot>&) {
-        // The internal Status flows through verbatim, so error codes and
-        // messages match the pre-Request contract bit for bit.
-        if (status.ok()) {
-          promise->set_value(std::move(ids));
-        } else {
-          promise->set_value(status);
-        }
-      });
-  return future;
 }
 
 void ServingEngine::BatcherLoop() {
@@ -750,7 +600,7 @@ void ServingEngine::BatcherLoop() {
       if (shutting_down_) return;
       continue;
     }
-    // Hold an incomplete batch briefly so concurrent Submits coalesce; a
+    // Hold an incomplete batch briefly so concurrent requests coalesce; a
     // full batch (or shutdown drain) flushes immediately. A queued request
     // with a deadline tightens the wait to its flush_by point (80% of its
     // budget), so feasible deadlines are met instead of spent coalescing.
@@ -818,13 +668,13 @@ void ServingEngine::ExecuteBatch(std::vector<PendingRequest> batch,
       if (request.deadline != std::chrono::steady_clock::time_point::max() &&
           execute_start >= request.deadline) {
         deadline_exceeded_->Increment();
-        request.deliver(
+        request.deliver(AsyncResponse(
             Status::DeadlineExceeded(StrFormat(
                 "deadline expired before scoring (queued %.3f ms)",
                 std::chrono::duration<double, std::milli>(
                     execute_start - request.enqueue_time)
                     .count())),
-            {}, std::nullopt, request.request_id, request.snapshot);
+            std::move(request.request_id), *request.snapshot));
         continue;
       }
       if (live != i) batch[live] = std::move(batch[i]);
@@ -903,16 +753,18 @@ void ServingEngine::ExecuteBatch(std::vector<PendingRequest> batch,
       if (request.deadline != std::chrono::steady_clock::time_point::max() &&
           std::chrono::steady_clock::now() >= request.deadline) {
         deadline_exceeded_->Increment();
-        request.deliver(
-            Status::DeadlineExceeded(StrFormat(
-                "deadline exceeded (answered after %.3f ms)",
-                total_seconds * 1e3)),
-            {}, std::nullopt, request.request_id, request.snapshot);
-      } else {
-        request.deliver(Status::OK(), std::move(results[i - begin]),
-                        std::move(attribution), request.request_id,
-                        request.snapshot);
+        request.deliver(AsyncResponse(
+            Status::DeadlineExceeded(
+                StrFormat("deadline exceeded (answered after %.3f ms)",
+                          total_seconds * 1e3)),
+            std::move(request.request_id), snap));
+        continue;
       }
+      Response resp =
+          AsyncResponse(Status::OK(), std::move(request.request_id), snap);
+      resp.herb_ids = std::move(results[i - begin]);
+      resp.attribution = std::move(attribution);
+      request.deliver(std::move(resp));
     }
     begin = end;
   }
@@ -929,10 +781,6 @@ void ServingEngine::Shutdown() {
   if (batcher_.joinable()) batcher_.join();
   // The batcher drained the queue into the pool; wait for those batches.
   if (pool_) pool_->Wait();
-}
-
-ServingStatsSnapshot ServingEngine::Stats() const {
-  return stats_.Snapshot(cache_enabled_ ? cache_.Stats() : CacheStats{});
 }
 
 EngineRecommender::EngineRecommender(const ServingEngine* engine)
@@ -957,9 +805,9 @@ Result<std::vector<double>> EngineRecommender::Score(
 
 Result<std::vector<std::vector<double>>> EngineRecommender::ScoreBatch(
     const std::vector<std::vector<int>>& symptom_sets) const {
-  // Rides the unified Request surface in dense-score mode; the legacy
-  // Result contract (first invalid query wins, "query %zu:" prefix) is
-  // reconstructed here so evaluator-facing behaviour is unchanged.
+  // Rides the Request surface in dense-score mode. HerbRecommender's Result
+  // contract — the first invalid query fails the batch, named by a
+  // "query %zu:" prefix — is built here from the per-request errors.
   std::vector<Request> requests(symptom_sets.size());
   for (std::size_t i = 0; i < symptom_sets.size(); ++i) {
     requests[i].symptoms = symptom_sets[i];

@@ -1,7 +1,7 @@
 // ServingEngine: high-throughput serving on top of an InferenceCheckpoint.
 //
-// The serving surface is the serve::Request / serve::Response pair
-// (src/serve/request.h), shared verbatim with the wire protocol:
+// The engine has one serving surface, the serve::Request / serve::Response
+// pair (src/serve/request.h), shared verbatim with the wire protocol:
 //   * Handle / HandleBatch — synchronous: canonicalize every request,
 //     serve cache hits, score the rest as ONE batched GEMM. top_k >= 1
 //     returns ranked herb ids; top_k == 0 returns dense scores.
@@ -20,10 +20,8 @@
 // met; requests whose budget expired before scoring began are answered
 // kDeadlineExceeded without being scored.
 //
-// The pre-Request entry points — Score / ScoreBatch / Recommend /
-// RecommendBatch / Submit — remain as deprecated-but-honoured shims over
-// the same internals (one LogWarningOnce per entry point): bit-identical
-// results, unchanged Status contracts.
+// Metrics live in the smgcn::obs registry under the engine's own scope
+// (obs_prefix()); there is no separate stats view to keep in sync.
 //
 // Batched, async and per-query results are bit-identical for a given
 // canonical query: the kernels process batch rows independently in a fixed
@@ -37,8 +35,8 @@
 // unique salt, so a swap implicitly invalidates stale top-k results without
 // flushing anything (superseded entries age out through LRU).
 //
-// Shutdown() drains: queued queries are still answered, then the batcher
-// stops and later Submits fail fast with FailedPrecondition. The destructor
+// Shutdown() drains: queued requests are still answered, then the batcher
+// stops and later SubmitRequests are answered kUnavailable. The destructor
 // shuts down implicitly.
 #ifndef SMGCN_SERVE_ENGINE_H_
 #define SMGCN_SERVE_ENGINE_H_
@@ -50,7 +48,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,31 +114,23 @@ struct ServingEngineOptions {
   /// How long the micro-batcher holds an incomplete batch hoping for more
   /// queries before flushing it anyway.
   double max_wait_ms = 0.2;
-  /// DEPRECATED thread knob (kept for compatibility): worker threads
-  /// executing micro-batches. 0 — the recommended setting — sizes the pool
+  /// Worker threads executing micro-batches. 0 (the default) sizes the pool
   /// from the process-wide smgcn::parallel configuration
-  /// (parallel::GetNumThreads(), i.e. hardware concurrency unless
-  /// overridden once at startup). See docs/API_TOUR.md §Parallelism.
+  /// (parallel::GetNumThreads()); parallel::SetNumThreads is the knob to
+  /// turn. See docs/API_TOUR.md §Parallelism.
   std::size_t num_threads = 0;
-  /// DEPRECATED thread knob (kept for compatibility): when > 0, Create
-  /// forwards this to parallel::SetNumThreads, mutating the process-wide
-  /// kernel worker count (deterministic: scores are bit-identical at every
-  /// setting). 0 — the recommended setting — leaves the global
-  /// configuration alone. Prefer calling parallel::SetNumThreads once at
-  /// startup instead. See docs/API_TOUR.md §Parallelism.
-  std::size_t kernel_threads = 0;
   /// Total top-k cache entries; 0 disables caching entirely.
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 8;
-  /// Latency threshold for the slow-query log in milliseconds: Recommend
-  /// queries at or above it are recorded with a per-stage breakdown (queue
+  /// Latency threshold for the slow-query log in milliseconds: ranked
+  /// requests at or above it are recorded with a per-stage breakdown (queue
   /// → coalesce → GEMM → top-k); see slow_query_log(). 0 (the default)
   /// disables the log.
   double slow_query_threshold_ms = 0.0;
   /// Retained slow-query entries (bounded ring, oldest evicted); the
   /// eviction-independent count lives in `<obs_prefix>slow_queries`.
   std::size_t slow_query_log_capacity = 128;
-  /// Admission bound for the async queue (SubmitRequest / Submit): when
+  /// Admission bound for the async queue (SubmitRequest): when
   /// > 0, a request arriving while this many are already queued is
   /// load-shed immediately with kShedding (`<prefix>shed` counts them)
   /// instead of queueing unboundedly. 0 — the in-process default —
@@ -239,49 +228,15 @@ class ServingEngine {
   /// executed the batch, so `done` must be cheap and must not block.
   void SubmitRequest(Request request, std::function<void(Response)> done);
 
-  /// DEPRECATED: use HandleBatch with top_k == 0. Scores every herb for
-  /// every query in one fused GEMM. Fails with InvalidArgument when any
-  /// query is empty or holds out-of-range ids (the message names the
-  /// offending query index). Duplicate ids within a query are deduplicated
-  /// (set semantics).
-  Result<std::vector<std::vector<double>>> ScoreBatch(
-      const std::vector<std::vector<int>>& queries) const;
-
-  /// DEPRECATED: use HandleBatch. Top-k herb ids per query; consults the
-  /// cache before scoring. A k larger than the herb catalog is clamped to
-  /// it (every herb, ranked), and all over-catalog ks share one cache
-  /// entry.
-  Result<std::vector<std::vector<std::size_t>>> RecommendBatch(
-      const std::vector<std::vector<int>>& queries, std::size_t k) const;
-
-  /// DEPRECATED: use Handle. Single-query conveniences over the batch path.
-  Result<std::vector<double>> Score(const std::vector<int>& symptoms) const;
-  Result<std::vector<std::size_t>> Recommend(const std::vector<int>& symptoms,
-                                             std::size_t k) const;
-
-  /// DEPRECATED: use SubmitRequest. Enqueues a query for micro-batched
-  /// execution. The future resolves with the top-k herb ids, an
-  /// InvalidArgument for malformed queries, or FailedPrecondition when the
-  /// engine is already shut down. Rides the same bounded queue as
-  /// SubmitRequest: with max_queue_depth > 0 a full queue resolves the
-  /// future with ResourceExhausted (at the default 0 — every pre-existing
-  /// call site — behaviour is unchanged).
-  std::future<Result<std::vector<std::size_t>>> Submit(
-      std::vector<int> symptoms, std::size_t k);
-
-  /// Stops accepting Submits, answers everything already queued, and joins
+  /// Stops admitting requests, answers everything already queued, and joins
   /// the batcher. Idempotent; called by the destructor.
   void Shutdown();
 
-  /// Serving counters merged with cache counters. A thin compatibility
-  /// view assembled from the engine's smgcn::obs registry instruments (see
-  /// obs_prefix()); values match the pre-registry recorder bit for bit for
-  /// a given workload.
-  ServingStatsSnapshot Stats() const;
-
   /// Scope this engine's instruments occupy in obs::Registry::Global(),
-  /// e.g. "serve.engine0." (the cache's live under "<prefix>cache.",
-  /// publishes under "<prefix>publishes").
+  /// e.g. "serve.engine0.": queries, batches, batched_queries,
+  /// max_batch_size and latency.seconds (see StatsRecorder), publishes,
+  /// shed, deadline_exceeded, slow_queries, and the cache's under
+  /// "<prefix>cache.".
   const std::string& obs_prefix() const { return obs_prefix_; }
 
   /// The slow-query log (disabled unless slow_query_threshold_ms > 0).
@@ -294,22 +249,6 @@ class ServingEngine {
   const ServingEngineOptions& options() const { return options_; }
 
  private:
-  /// Fulfils an async caller's future. Both async surfaces funnel through
-  /// this: SubmitRequest wraps a promise<Response> (mapping the internal
-  /// Status onto serve::StatusCode), the legacy Submit shim wraps
-  /// promise<Result<ids>> and forwards the internal Status verbatim —
-  /// which is why the callback carries smgcn::Status, not the wire enum:
-  /// the shim stays bit-identical to the pre-Request contract. Called
-  /// exactly once, never under queue_mu_. `request_id` is the request's
-  /// correlation id (client-supplied or engine-minted); `attribution` is
-  /// the opt-in score decomposition, present only on successful ranked
-  /// answers that asked for it. `snap` is the snapshot the request was
-  /// bound to (for Response attribution).
-  using DeliverFn = std::function<void(
-      const Status&, std::vector<std::size_t>,
-      std::optional<audit::QueryAttribution>, const std::string& request_id,
-      const std::shared_ptr<const ModelSnapshot>&)>;
-
   struct PendingRequest {
     CanonicalQuery query;
     std::size_t k = 0;
@@ -320,7 +259,8 @@ class ServingEngine {
     /// The version this request was admitted under; ExecuteBatch scores it
     /// there, so async responses are attributable to exactly one publish.
     std::shared_ptr<const ModelSnapshot> snapshot;
-    DeliverFn deliver;
+    /// Receives the answer exactly once, never under queue_mu_.
+    std::function<void(Response)> deliver;
     std::chrono::steady_clock::time_point enqueue_time;
     /// Absolute deadline (computed from Request::deadline_ms at
     /// admission); time_point::max() when the request has none.
@@ -374,22 +314,8 @@ class ServingEngine {
   Status CheckPins(const Request& request,
                    const std::shared_ptr<const ModelSnapshot>& snap) const;
 
-  /// The one async admission path (SubmitRequest and the Submit shim).
-  /// Canonicalizes, applies the queue bound (shed → ResourceExhausted),
-  /// stamps request id / deadline / flush_by, and enqueues. `deliver` is
-  /// called exactly once, possibly before this returns (validation errors,
-  /// shedding, shutdown).
-  void SubmitInternal(Request request, DeliverFn deliver);
-
-  /// Both SubmitRequest overloads: rejects dense mode, then rides
-  /// SubmitInternal with one Response built per outcome and handed to
-  /// `sink(Response)`. A template so the future overload's sink stays one
-  /// plain lambda inside the DeliverFn, with no extra std::function layer.
-  template <typename Sink>
-  void SubmitWith(Request request, Sink sink);
-
   void BatcherLoop();
-  /// Scores one coalesced batch and fulfils its promises. Requests are
+  /// Scores one coalesced batch and delivers its Responses. Requests are
   /// grouped by (snapshot, k); each group shares one GEMM + cache pass.
   /// `coalesce_seconds` is how long the batch's oldest request waited for
   /// the batch to be cut (attributed to every query in the batch).

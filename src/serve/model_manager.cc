@@ -239,19 +239,6 @@ void ModelManager::SubmitRequest(Request request,
   (*engine)->SubmitRequest(std::move(request), std::move(done));
 }
 
-Result<std::vector<double>> ModelManager::Score(
-    const std::string& model, const std::vector<int>& symptoms) const {
-  ASSIGN_OR_RETURN(ServingEngine * engine, Engine(model));
-  return engine->Score(symptoms);
-}
-
-Result<std::vector<std::size_t>> ModelManager::Recommend(
-    const std::string& model, const std::vector<int>& symptoms,
-    std::size_t k) const {
-  ASSIGN_OR_RETURN(ServingEngine * engine, Engine(model));
-  return engine->Recommend(symptoms, k);
-}
-
 void ModelManager::Shutdown() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& [name, entry] : models_) {

@@ -144,14 +144,6 @@ class ModelManager {
   void SubmitRequest(Request request,
                      std::function<void(Response)> done) const;
 
-  /// DEPRECATED conveniences routing to the model's engine; use Handle
-  /// with a serve::Request instead.
-  Result<std::vector<double>> Score(const std::string& model,
-                                    const std::vector<int>& symptoms) const;
-  Result<std::vector<std::size_t>> Recommend(const std::string& model,
-                                             const std::vector<int>& symptoms,
-                                             std::size_t k) const;
-
   /// Drains and shuts down every hosted engine. Idempotent; implicit in
   /// the destructor.
   void Shutdown();

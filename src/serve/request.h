@@ -3,10 +3,7 @@
 // One pair of structs describes a serving call everywhere: the in-process
 // API (ServingEngine::Handle / HandleBatch / SubmitRequest, ModelManager
 // routing) and the wire protocol (src/net) share them verbatim, so a field
-// added here is one field, not four parallel signatures. The legacy entry
-// points (Score/ScoreBatch/Recommend/RecommendBatch/Submit) survive as
-// deprecated-but-honoured shims over this surface — same pattern as the
-// thread-knob collapse onto parallel::SetNumThreads.
+// added here is one field, not four parallel signatures.
 //
 // Modes:
 //   * top_k >= 1  — ranked mode: Response.herb_ids holds the top-k herb

@@ -1,50 +1,9 @@
 #include "src/serve/stats.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "src/util/string_util.h"
 
 namespace smgcn {
 namespace serve {
-
-std::vector<std::string> ServingStatsSnapshot::CsvHeader() {
-  return {"queries",        "batches",       "mean_batch_size",
-          "qps",            "p50_ms",        "p90_ms",
-          "p99_ms",         "max_ms",        "mean_ms",
-          "cache_hits",     "cache_misses",  "cache_evictions",
-          "cache_hit_rate"};
-}
-
-std::vector<std::string> ServingStatsSnapshot::ToCsvRow() const {
-  return {StrFormat("%llu", static_cast<unsigned long long>(queries)),
-          StrFormat("%llu", static_cast<unsigned long long>(batches)),
-          StrFormat("%.3f", mean_batch_size),
-          StrFormat("%.1f", qps),
-          StrFormat("%.4f", latency_p50_ms),
-          StrFormat("%.4f", latency_p90_ms),
-          StrFormat("%.4f", latency_p99_ms),
-          StrFormat("%.4f", latency_max_ms),
-          StrFormat("%.4f", latency_mean_ms),
-          StrFormat("%llu", static_cast<unsigned long long>(cache.hits)),
-          StrFormat("%llu", static_cast<unsigned long long>(cache.misses)),
-          StrFormat("%llu", static_cast<unsigned long long>(cache.evictions)),
-          StrFormat("%.4f", cache.hit_rate())};
-}
-
-std::string ServingStatsSnapshot::ToString() const {
-  return StrFormat(
-      "queries=%llu qps=%.1f | batches=%llu mean_batch=%.2f max_batch=%zu | "
-      "latency ms p50=%.3f p90=%.3f p99=%.3f max=%.3f | "
-      "cache hits=%llu misses=%llu evictions=%llu hit_rate=%.1f%%",
-      static_cast<unsigned long long>(queries), qps,
-      static_cast<unsigned long long>(batches), mean_batch_size,
-      max_batch_size, latency_p50_ms, latency_p90_ms, latency_p99_ms,
-      latency_max_ms, static_cast<unsigned long long>(cache.hits),
-      static_cast<unsigned long long>(cache.misses),
-      static_cast<unsigned long long>(cache.evictions),
-      cache.hit_rate() * 100.0);
-}
 
 StatsRecorder::StatsRecorder(obs::Registry* registry, std::string prefix) {
   obs::Registry& reg =
@@ -72,29 +31,6 @@ void StatsRecorder::RecordBatch(std::size_t batch_size) {
   batches_->Increment();
   batched_queries_->Increment(batch_size);
   max_batch_size_->SetToMax(static_cast<double>(batch_size));
-}
-
-ServingStatsSnapshot StatsRecorder::Snapshot(const CacheStats& cache) const {
-  ServingStatsSnapshot snap;
-  snap.queries = queries_->value();
-  snap.batches = batches_->value();
-  snap.batched_queries = batched_queries_->value();
-  snap.elapsed_seconds = uptime_.ElapsedSeconds();
-  snap.qps = snap.elapsed_seconds > 0.0
-                 ? static_cast<double>(snap.queries) / snap.elapsed_seconds
-                 : 0.0;
-  snap.mean_batch_size =
-      snap.batches == 0 ? 0.0
-                        : static_cast<double>(snap.batched_queries) /
-                              static_cast<double>(snap.batches);
-  snap.max_batch_size = static_cast<std::size_t>(max_batch_size_->value());
-  snap.latency_p50_ms = latency_->Percentile(0.50) * 1e3;
-  snap.latency_p90_ms = latency_->Percentile(0.90) * 1e3;
-  snap.latency_p99_ms = latency_->Percentile(0.99) * 1e3;
-  snap.latency_max_ms = latency_->max() * 1e3;
-  snap.latency_mean_ms = latency_->mean() * 1e3;
-  snap.cache = cache;
-  return snap;
 }
 
 }  // namespace serve

@@ -1,74 +1,21 @@
-// Serving observability: latency, throughput, batch-size distribution and
-// cache effectiveness.
+// Serving metrics recording: latency, throughput and batch-size
+// distribution.
 //
-// Since the obs redesign the instruments live in the process-wide
-// smgcn::obs registry (each engine under its own `serve.engineN.` scope);
-// StatsRecorder is the serving-side recording facade and
-// ServingStatsSnapshot the thin compatibility view that Stats() callers,
-// benches and dashboards keep consuming unchanged.
+// The instruments live in the process-wide smgcn::obs registry (each engine
+// under its own `serve.engineN.` scope); StatsRecorder is the serving-side
+// recording facade. Readers (benches, /metrics, run reports) read the
+// registry directly.
 #ifndef SMGCN_SERVE_STATS_H_
 #define SMGCN_SERVE_STATS_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/obs/registry.h"
-#include "src/serve/cache.h"
-#include "src/util/stopwatch.h"
 
 namespace smgcn {
 namespace serve {
-
-/// Log-bucketed latency histogram: a seconds-flavoured veneer over
-/// obs::Histogram (4 sub-buckets per octave from 1 microsecond up, ~19%
-/// bucket width plus intra-bucket interpolation in Percentile — sub-ms p50
-/// and p99 stay distinguishable). Thread-safe; kept so existing serving
-/// callers retain the *_seconds vocabulary.
-class LatencyHistogram {
- public:
-  static constexpr std::size_t kNumBuckets = obs::Histogram::kNumBuckets;
-
-  void Record(double seconds) { histogram_.Record(seconds); }
-
-  std::uint64_t count() const { return histogram_.count(); }
-  double total_seconds() const { return histogram_.sum(); }
-  double max_seconds() const { return histogram_.max(); }
-  double mean_seconds() const { return histogram_.mean(); }
-
-  /// Latency (seconds) below which a fraction `p` in [0,1] of recorded
-  /// samples fall; interpolates inside the matching bucket and clamps to
-  /// the recorded [min, max] (0 when empty, the sample itself when there is
-  /// exactly one, the max for the final overflow bucket).
-  double Percentile(double p) const { return histogram_.Percentile(p); }
-
- private:
-  obs::Histogram histogram_;
-};
-
-/// Point-in-time view of a serving engine's health.
-struct ServingStatsSnapshot {
-  std::uint64_t queries = 0;  // queries answered (cached + scored)
-  std::uint64_t batches = 0;  // GEMM executions
-  std::uint64_t batched_queries = 0;  // queries answered via those GEMMs
-  double elapsed_seconds = 0.0;
-  double qps = 0.0;
-  double mean_batch_size = 0.0;
-  std::size_t max_batch_size = 0;
-  double latency_p50_ms = 0.0;
-  double latency_p90_ms = 0.0;
-  double latency_p99_ms = 0.0;
-  double latency_max_ms = 0.0;
-  double latency_mean_ms = 0.0;
-  CacheStats cache;
-
-  /// Column names matching ToCsvRow(), for CsvWriter headers.
-  static std::vector<std::string> CsvHeader();
-  std::vector<std::string> ToCsvRow() const;
-  /// Human-readable multi-line rendering for CLI output.
-  std::string ToString() const;
-};
 
 /// Thread-safe recorder the engine feeds. Creates its instruments in
 /// `registry` (the global registry when null) under `prefix` (a unique
@@ -80,10 +27,8 @@ struct ServingStatsSnapshot {
 ///   <prefix>max_batch_size     gauge (atomic max)
 ///   <prefix>latency.seconds    histogram
 ///
-/// Recording is lock-free; Snapshot() assembles the compatibility view from
-/// those instruments (merging in the cache counters, which the cache keeps
-/// in its own registry scope). A snapshot taken while recorders are active
-/// is weakly consistent across instruments — counts never tear, but e.g.
+/// Recording is lock-free. Reads taken while recorders are active are
+/// weakly consistent across instruments — counts never tear, but e.g.
 /// `queries` may already include a query whose latency sample is still in
 /// flight.
 class StatsRecorder {
@@ -103,8 +48,6 @@ class StatsRecorder {
   /// Records one executed GEMM covering `batch_size` queries.
   void RecordBatch(std::size_t batch_size);
 
-  ServingStatsSnapshot Snapshot(const CacheStats& cache) const;
-
   /// Registry scope the instruments live under, e.g. "serve.engine0.".
   const std::string& prefix() const { return prefix_; }
 
@@ -115,7 +58,6 @@ class StatsRecorder {
   obs::Counter* batched_queries_;
   obs::Gauge* max_batch_size_;
   obs::Histogram* latency_;
-  Stopwatch uptime_;
 };
 
 }  // namespace serve

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <set>
 #include <utility>
 
 #include "src/obs/registry.h"
@@ -65,16 +64,6 @@ LogCounters& Counters() {
 void SetLogSink(LogSink sink) {
   std::lock_guard<std::mutex> lock(SinkMutex());
   SinkHolder() = std::move(sink);
-}
-
-void LogWarningOnce(const std::string& key, const std::string& message) {
-  static std::mutex mu;
-  static std::set<std::string>* seen = new std::set<std::string>();
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!seen->insert(key).second) return;
-  }
-  LOG_WARNING << message;
 }
 
 void SetMinLogLevel(LogLevel level) {

@@ -32,12 +32,6 @@ using LogSink = std::function<void(LogLevel, const std::string& line)>;
 /// increment `log.errors_logged`.
 void SetLogSink(LogSink sink);
 
-/// Logs `message` at WARNING level through the configured sink the first
-/// time `key` is seen in this process; later calls with the same key are
-/// no-ops. For one-time deprecation notices on per-call config knobs,
-/// which would otherwise spam once per trainer/engine instance.
-void LogWarningOnce(const std::string& key, const std::string& message);
-
 namespace internal {
 
 /// Stream-style log message; emits on destruction. FATAL aborts.

@@ -13,10 +13,9 @@
 // kernel) run inline on the current thread, so kernels never deadlock on
 // pool capacity and never oversubscribe.
 //
-// SetNumThreads is THE process-wide parallelism knob: the deprecated
-// per-config fields (TrainConfig::num_threads,
-// ServingEngineOptions::kernel_threads) funnel into it, and serving pools
-// size themselves from GetNumThreads(). See docs/API_TOUR.md §Parallelism.
+// SetNumThreads is the one process-wide parallelism knob: training and the
+// tensor/graph kernels read it, and serving pools size themselves from
+// GetNumThreads(). See docs/API_TOUR.md §Parallelism.
 //
 // The layer reports into obs::Registry::Global(): counters
 // parallel.inline_runs / parallel.fanout_runs / parallel.tasks_dispatched /

@@ -643,7 +643,7 @@ TEST(Int8ParityTest, ForcedScalarKernels) { RunInt8ParitySweep(true); }
 
 TEST(Int8ParityTest, BatchedScoresBitIdenticalToSingleQueryPerBackend) {
   // The end-to-end face of the kernel-level GEMM==GEMV property: within one
-  // backend, int8 ScoreBatch rows must reproduce ScoreOne bit for bit. (The
+  // backend, int8 ScoreBatchInto rows must reproduce ScoreOne bit for bit. (The
   // two backends may differ from each other: the f32 SI-MLP stage that
   // produces the activations is reduction-order sensitive, so only the
   // int8 stage itself is cross-backend exact — covered at kernel level by
@@ -659,13 +659,13 @@ TEST(Int8ParityTest, BatchedScoresBitIdenticalToSingleQueryPerBackend) {
   for (const bool force_scalar : {false, true}) {
     if (!force_scalar && !SimdAvailable()) continue;
     ScopedForceScalar force(force_scalar);
-    const tensor::Matrix batched = store->ScoreBatch(batch);
-    ASSERT_EQ(batched.rows(), batch.size());
+    std::vector<std::vector<double>> batched(batch.size());
+    store->ScoreBatchInto(batch, batched.data());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::vector<double> one = store->ScoreOne(batch[i]);
-      ASSERT_EQ(one.size(), batched.cols());
-      for (std::size_t j = 0; j < batched.cols(); ++j) {
-        ASSERT_EQ(batched(i, j), one[j])
+      ASSERT_EQ(one.size(), batched[i].size());
+      for (std::size_t j = 0; j < batched[i].size(); ++j) {
+        ASSERT_EQ(batched[i][j], one[j])
             << "batch-vs-single divergence at (" << i << "," << j
             << ") scalar=" << force_scalar;
       }
@@ -691,15 +691,21 @@ TEST(PrecisionParityTest, EngineEndToEndTopKAgreement) {
 
     Rng rng(31);
     const auto queries = ParityQueries(64, 48, &rng);
-    auto ref = (*f64_engine)->RecommendBatch(queries, kTopK);
-    auto got = (*f32_engine)->RecommendBatch(queries, kTopK);
-    ASSERT_TRUE(ref.ok());
-    ASSERT_TRUE(got.ok());
+    std::vector<serve::Request> requests(queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      requests[i].symptoms = queries[i];
+      requests[i].top_k = kTopK;
+    }
+    const auto ref = (*f64_engine)->HandleBatch(requests);
+    const auto got = (*f32_engine)->HandleBatch(requests);
     std::size_t agree = 0, total = 0;
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      const std::set<std::size_t> got_set((*got)[i].begin(), (*got)[i].end());
-      for (std::size_t id : (*ref)[i]) agree += got_set.count(id);
-      total += (*ref)[i].size();
+      ASSERT_TRUE(ref[i].ok());
+      ASSERT_TRUE(got[i].ok());
+      const std::set<std::size_t> got_set(got[i].herb_ids.begin(),
+                                          got[i].herb_ids.end());
+      for (std::size_t id : ref[i].herb_ids) agree += got_set.count(id);
+      total += ref[i].herb_ids.size();
     }
     EXPECT_GE(static_cast<double>(agree) / static_cast<double>(total), 0.999)
         << "threads=" << threads;

@@ -48,6 +48,16 @@ double ExpectedScore(double value) {
   return static_cast<double>(kDim) * value * value;
 }
 
+// Dense scores for `symptoms` from the engine hosting `model`.
+Response DenseScores(const ModelManager& manager, const std::string& model,
+                     std::vector<int> symptoms) {
+  Request request;
+  request.model = model;
+  request.symptoms = std::move(symptoms);
+  request.top_k = 0;
+  return manager.Handle(request);
+}
+
 ModelManagerOptions QuietOptions() {
   ModelManagerOptions options;
   options.engine_options.cache_capacity = 64;
@@ -78,14 +88,18 @@ TEST(ModelManagerTest, PublishRouteAndList) {
   ASSERT_TRUE(version.ok());
   EXPECT_EQ(*version, "v1");
 
-  auto scores = (*manager)->Score("herbs", {0});
+  const Response scores = DenseScores(**manager, "herbs", {0});
   ASSERT_TRUE(scores.ok());
-  ASSERT_EQ(scores->size(), kHerbs);
-  for (double s : *scores) EXPECT_DOUBLE_EQ(s, ExpectedScore(1.0));
+  ASSERT_EQ(scores.scores.size(), kHerbs);
+  for (double s : scores.scores) EXPECT_DOUBLE_EQ(s, ExpectedScore(1.0));
 
-  auto topk = (*manager)->Recommend("herbs", {0, 2}, 3);
+  Request ranked;
+  ranked.model = "herbs";
+  ranked.symptoms = {0, 2};
+  ranked.top_k = 3;
+  const Response topk = (*manager)->Handle(ranked);
   ASSERT_TRUE(topk.ok());
-  EXPECT_EQ(topk->size(), 3u);
+  EXPECT_EQ(topk.herb_ids.size(), 3u);
 
   const auto models = (*manager)->ListModels();
   ASSERT_EQ(models.size(), 1u);
@@ -95,8 +109,9 @@ TEST(ModelManagerTest, PublishRouteAndList) {
   EXPECT_TRUE(models[0].versions[0].active);
   EXPECT_EQ(models[0].versions[0].num_herbs, kHerbs);
 
-  EXPECT_EQ((*manager)->Score("nope", {0}).status().code(),
-            smgcn::StatusCode::kNotFound);
+  // Unknown model: routing fails (NotFound maps to kUnavailable).
+  EXPECT_EQ(DenseScores(**manager, "nope", {0}).status,
+            serve::StatusCode::kUnavailable);
 }
 
 TEST(ModelManagerTest, PublishSwapsScoresAtomically) {
@@ -105,9 +120,9 @@ TEST(ModelManagerTest, PublishSwapsScoresAtomically) {
   ASSERT_TRUE((*manager)->Publish(ConstantCheckpoint("m", 1.0), "v1").ok());
   ASSERT_TRUE((*manager)->Publish(ConstantCheckpoint("m", 2.0), "v2").ok());
 
-  auto scores = (*manager)->Score("m", {1});
+  const Response scores = DenseScores(**manager, "m", {1});
   ASSERT_TRUE(scores.ok());
-  EXPECT_DOUBLE_EQ((*scores)[0], ExpectedScore(2.0));
+  EXPECT_DOUBLE_EQ(scores.scores[0], ExpectedScore(2.0));
   EXPECT_EQ(*(*manager)->ActiveVersion("m"), "v2");
 
   // The engine (and its stats) survive the swap.
@@ -125,9 +140,9 @@ TEST(ModelManagerTest, DuplicateVersionIsRejected) {
       smgcn::StatusCode::kAlreadyExists);
   // The active version is untouched by the failed publish.
   EXPECT_EQ(*(*manager)->ActiveVersion("m"), "v1");
-  auto scores = (*manager)->Score("m", {0});
+  const Response scores = DenseScores(**manager, "m", {0});
   ASSERT_TRUE(scores.ok());
-  EXPECT_DOUBLE_EQ((*scores)[0], ExpectedScore(1.0));
+  EXPECT_DOUBLE_EQ(scores.scores[0], ExpectedScore(1.0));
 }
 
 TEST(ModelManagerTest, FailedFirstPublishLeavesNoModelBehind) {
@@ -149,9 +164,9 @@ TEST(ModelManagerTest, RollbackReactivatesPredecessor) {
 
   ASSERT_TRUE((*manager)->Rollback("m").ok());
   EXPECT_EQ(*(*manager)->ActiveVersion("m"), "v2");
-  auto scores = (*manager)->Score("m", {0});
+  const Response scores = DenseScores(**manager, "m", {0});
   ASSERT_TRUE(scores.ok());
-  EXPECT_DOUBLE_EQ((*scores)[0], ExpectedScore(2.0));
+  EXPECT_DOUBLE_EQ(scores.scores[0], ExpectedScore(2.0));
 
   ASSERT_TRUE((*manager)->Rollback("m").ok());
   EXPECT_EQ(*(*manager)->ActiveVersion("m"), "v1");
@@ -206,12 +221,12 @@ TEST(ModelManagerTest, ModelsAreIsolated) {
   ASSERT_TRUE((*manager)->Publish(ConstantCheckpoint("a", 1.0), "v1").ok());
   ASSERT_TRUE((*manager)->Publish(ConstantCheckpoint("b", 3.0), "v7").ok());
 
-  auto a = (*manager)->Score("a", {0});
-  auto b = (*manager)->Score("b", {0});
+  const Response a = DenseScores(**manager, "a", {0});
+  const Response b = DenseScores(**manager, "b", {0});
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_DOUBLE_EQ((*a)[0], ExpectedScore(1.0));
-  EXPECT_DOUBLE_EQ((*b)[0], ExpectedScore(3.0));
+  EXPECT_DOUBLE_EQ(a.scores[0], ExpectedScore(1.0));
+  EXPECT_DOUBLE_EQ(b.scores[0], ExpectedScore(3.0));
 
   const auto models = (*manager)->ListModels();
   ASSERT_EQ(models.size(), 2u);
@@ -232,9 +247,9 @@ TEST(ModelManagerTest, PublishArtifactUsesEmbeddedIdentity) {
   EXPECT_EQ(receipt->model, "artifact-model");
   EXPECT_EQ(receipt->version, "2026-08-08-b");
 
-  auto scores = (*manager)->Score("artifact-model", {0});
+  const Response scores = DenseScores(**manager, "artifact-model", {0});
   ASSERT_TRUE(scores.ok());
-  EXPECT_DOUBLE_EQ((*scores)[0], ExpectedScore(2.0));
+  EXPECT_DOUBLE_EQ(scores.scores[0], ExpectedScore(2.0));
 
   // Same version again: rejected, identity comes from the file.
   EXPECT_EQ((*manager)->PublishArtifact(path).status().code(),
@@ -264,9 +279,9 @@ TEST(ModelManagerTest, PublishArtifactServesF32StoreAtF32Precision) {
             tensor::Precision::kFloat32);
 
   // 1.5 and its products are exact in f32, so scores are still exact.
-  auto scores = (*manager)->Score("f32-model", {0});
+  const Response scores = DenseScores(**manager, "f32-model", {0});
   ASSERT_TRUE(scores.ok());
-  EXPECT_DOUBLE_EQ((*scores)[0], ExpectedScore(1.5));
+  EXPECT_DOUBLE_EQ(scores.scores[0], ExpectedScore(1.5));
 }
 
 TEST(ModelManagerTest, PublishArtifactServesInt8StoreAtStoredPrecision) {
@@ -293,9 +308,9 @@ TEST(ModelManagerTest, PublishArtifactServesInt8StoreAtStoredPrecision) {
 
   // Constant rows quantize to 127 * (value/127): scores land within f32
   // scale rounding of the exact kDim * value^2.
-  auto scores = (*manager)->Score("int8-model", {0});
+  const Response scores = DenseScores(**manager, "int8-model", {0});
   ASSERT_TRUE(scores.ok());
-  EXPECT_NEAR((*scores)[0], ExpectedScore(2.0), 1e-4 * ExpectedScore(2.0));
+  EXPECT_NEAR(scores.scores[0], ExpectedScore(2.0), 1e-4 * ExpectedScore(2.0));
 }
 
 TEST(ModelManagerTest, InstrumentsAreRegistered) {
@@ -356,14 +371,14 @@ TEST(ModelManagerHammerTest, ConcurrentPublishAndQuery) {
     readers.emplace_back([&, r] {
       const std::vector<int> symptoms = {r % static_cast<int>(kSymptoms)};
       while (!stop.load(std::memory_order_relaxed)) {
-        auto scores = manager->Score("hammer", symptoms);
-        if (!scores.ok() || scores->size() != kHerbs) {
+        const Response response = DenseScores(*manager, "hammer", symptoms);
+        if (!response.ok() || response.scores.size() != kHerbs) {
           failures.fetch_add(1);
           continue;
         }
-        const double first = (*scores)[0];
+        const double first = response.scores[0];
         // (a) internally consistent: one embedding table scored all herbs.
-        for (double s : *scores) {
+        for (double s : response.scores) {
           if (s != first) failures.fetch_add(1);
         }
         // (b) attributable: matches ExpectedScore(v) for an integer version

@@ -458,30 +458,6 @@ TEST(SmgcnModelTest, DivergenceNamesFirstNonFiniteParameterAndLogsEvent) {
   EXPECT_TRUE(saw_divergence);
 }
 
-TEST(SmgcnModelTest, DeprecatedNumThreadsWarnsExactlyOnce) {
-  const auto split = testutil::SmallSplit();
-  std::vector<std::string> captured;
-  SetLogSink([&captured](LogLevel level, const std::string& line) {
-    if (level == LogLevel::kWarning) captured.push_back(line);
-  });
-  auto train = FastTrainConfig();
-  train.epochs = 1;
-  train.num_threads = 2;  // deprecated knob
-  for (int round = 0; round < 2; ++round) {
-    SmgcnModel model(SmallModelConfig(), train);
-    ASSERT_TRUE(model.Fit(split.train).ok());
-  }
-  SetLogSink(nullptr);
-  std::size_t deprecation_lines = 0;
-  for (const std::string& line : captured) {
-    if (line.find("TrainConfig::num_threads is deprecated") !=
-        std::string::npos) {
-      ++deprecation_lines;
-    }
-  }
-  EXPECT_EQ(deprecation_lines, 1u);
-}
-
 }  // namespace
 }  // namespace core
 }  // namespace smgcn

@@ -1,7 +1,8 @@
 // Tests for src/serve: query canonicalization, the embedding store's
 // batched scoring (bit-identical to CheckpointRecommender::Score), the
-// sharded LRU cache, serving stats and the ServingEngine's sync, async and
-// shutdown behaviour.
+// sharded LRU cache, and the ServingEngine's sync, async and shutdown
+// behaviour through the serve::Request surface, read back from the obs
+// registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,7 +24,6 @@
 #include "src/serve/engine.h"
 #include "src/serve/query.h"
 #include "src/serve/slow_log.h"
-#include "src/serve/stats.h"
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/random.h"
@@ -121,6 +121,15 @@ TEST(CanonicalizeTest, CombineKeySeparatesSalts) {
 // EmbeddingStore
 // --------------------------------------------------------------------------
 
+// Scores `batch` through the store's one scoring entry point, one row of
+// herb scores per query.
+std::vector<std::vector<double>> ScoreRows(
+    const EmbeddingStore& store, const std::vector<CanonicalQuery>& batch) {
+  std::vector<std::vector<double>> rows(batch.size());
+  store.ScoreBatchInto(batch, rows.data());
+  return rows;
+}
+
 TEST(EmbeddingStoreTest, BuildRejectsInvalidCheckpoint) {
   core::InferenceCheckpoint broken = MakeCheckpoint();
   broken.si_weight = tensor::Matrix(3, 3, 0.0);  // wrong shape vs dim=8
@@ -154,15 +163,15 @@ TEST(EmbeddingStoreTest, BatchedScoresBitIdenticalToPerQueryScore) {
     for (const auto& raw : raw_queries) {
       batch.push_back(*Canonicalize(raw, store->num_symptoms()));
     }
-    const tensor::Matrix scores = store->ScoreBatch(batch);
-    ASSERT_EQ(scores.rows(), batch.size());
-    ASSERT_EQ(scores.cols(), store->num_herbs());
+    const auto scores = ScoreRows(*store, batch);
+    ASSERT_EQ(scores.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(scores[i].size(), store->num_herbs());
       auto expected = reference->Score(batch[i].symptom_ids);
       ASSERT_TRUE(expected.ok());
       for (std::size_t h = 0; h < store->num_herbs(); ++h) {
         // EXPECT_EQ, not NEAR: rows must match bit for bit.
-        EXPECT_EQ(scores(i, h), (*expected)[h])
+        EXPECT_EQ(scores[i][h], (*expected)[h])
             << "query " << i << " herb " << h << " mlp=" << with_mlp;
       }
     }
@@ -174,10 +183,10 @@ TEST(EmbeddingStoreTest, ScoreOneMatchesBatchRow) {
   ASSERT_TRUE(store.ok());
   const CanonicalQuery q = *Canonicalize({2, 7, 11}, store->num_symptoms());
   const std::vector<double> one = store->ScoreOne(q);
-  const tensor::Matrix batch = store->ScoreBatch({q, q});
+  const auto batch = ScoreRows(*store, {q, q});
   for (std::size_t h = 0; h < store->num_herbs(); ++h) {
-    EXPECT_EQ(one[h], batch(0, h));
-    EXPECT_EQ(one[h], batch(1, h));
+    EXPECT_EQ(one[h], batch[0][h]);
+    EXPECT_EQ(one[h], batch[1][h]);
   }
 }
 
@@ -215,11 +224,11 @@ TEST(EmbeddingStoreTest, Float32BatchRowsMatchSingleQueryRuns) {
              {0}, {1, 2, 3}, {5, 9, 13, 21}, {23}, {2, 4, 6, 8, 10, 12}}) {
       batch.push_back(*Canonicalize(raw, store->num_symptoms()));
     }
-    const tensor::Matrix scores = store->ScoreBatch(batch);
+    const auto scores = ScoreRows(*store, batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::vector<double> one = store->ScoreOne(batch[i]);
       for (std::size_t h = 0; h < store->num_herbs(); ++h) {
-        EXPECT_EQ(scores(i, h), one[h])
+        EXPECT_EQ(scores[i][h], one[h])
             << "query " << i << " herb " << h << " mlp=" << with_mlp;
       }
     }
@@ -275,40 +284,12 @@ TEST(EmbeddingStoreTest, Int8BatchRowsMatchSingleQueryRuns) {
              {0}, {1, 2, 3}, {5, 9, 13, 21}, {23}, {2, 4, 6, 8, 10, 12}}) {
       batch.push_back(*Canonicalize(raw, store->num_symptoms()));
     }
-    const tensor::Matrix scores = store->ScoreBatch(batch);
+    const auto scores = ScoreRows(*store, batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::vector<double> one = store->ScoreOne(batch[i]);
       for (std::size_t h = 0; h < store->num_herbs(); ++h) {
-        EXPECT_EQ(scores(i, h), one[h])
+        EXPECT_EQ(scores[i][h], one[h])
             << "query " << i << " herb " << h << " mlp=" << with_mlp;
-      }
-    }
-  }
-}
-
-TEST(EmbeddingStoreTest, ScoreBatchIntoMatchesScoreBatchAllPrecisions) {
-  // The engine's zero-copy entry point must produce exactly the rows the
-  // Matrix-returning path does, at every stored precision.
-  for (const auto precision :
-       {tensor::Precision::kFloat64, tensor::Precision::kFloat32,
-        tensor::Precision::kInt8}) {
-    auto store = EmbeddingStore::Build(MakeCheckpoint(24, 40, 8, true),
-                                       precision);
-    ASSERT_TRUE(store.ok());
-    std::vector<CanonicalQuery> batch;
-    for (const auto& raw : std::vector<std::vector<int>>{
-             {0}, {1, 2, 3}, {5, 9, 13, 21}, {23}}) {
-      batch.push_back(*Canonicalize(raw, store->num_symptoms()));
-    }
-    const tensor::Matrix expected = store->ScoreBatch(batch);
-    std::vector<std::vector<double>> rows(batch.size());
-    store->ScoreBatchInto(batch, rows.data());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_EQ(rows[i].size(), store->num_herbs());
-      for (std::size_t h = 0; h < store->num_herbs(); ++h) {
-        EXPECT_EQ(rows[i][h], expected(i, h))
-            << "precision " << static_cast<int>(precision) << " query " << i
-            << " herb " << h;
       }
     }
   }
@@ -401,66 +382,20 @@ TEST(CacheTest, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(cache.Stats().hits, 1u);
 }
 
-// --------------------------------------------------------------------------
-// Stats
-// --------------------------------------------------------------------------
-
-TEST(StatsTest, HistogramPercentilesBracketSamples) {
-  LatencyHistogram hist;
-  for (int i = 0; i < 90; ++i) hist.Record(100e-6);  // ~100us
-  for (int i = 0; i < 10; ++i) hist.Record(10e-3);   // ~10ms
-  EXPECT_EQ(hist.count(), 100u);
-  // p50 lives in the 100us bucket (x2 bucket resolution), p99 in the 10ms one.
-  EXPECT_GT(hist.Percentile(0.50), 30e-6);
-  EXPECT_LT(hist.Percentile(0.50), 300e-6);
-  EXPECT_GT(hist.Percentile(0.99), 3e-3);
-  EXPECT_LT(hist.Percentile(0.99), 30e-3);
-  EXPECT_DOUBLE_EQ(hist.max_seconds(), 10e-3);
-  EXPECT_EQ(hist.Percentile(0.0), hist.Percentile(1e-9));
-}
-
-TEST(StatsTest, EmptyHistogramIsZero) {
-  LatencyHistogram hist;
-  EXPECT_EQ(hist.Percentile(0.5), 0.0);
-  EXPECT_EQ(hist.mean_seconds(), 0.0);
-}
-
-TEST(StatsTest, SingleSamplePercentileIsExact) {
-  // Regression: the raw bucket midpoint for one 100us sample is ~90.5us;
-  // clamping to the recorded range must report the sample itself.
-  LatencyHistogram hist;
-  hist.Record(100e-6);
-  EXPECT_DOUBLE_EQ(hist.Percentile(0.5), 100e-6);
-  EXPECT_DOUBLE_EQ(hist.Percentile(1.0), 100e-6);
-}
-
-TEST(StatsTest, IdenticalSamplesClampToThemselves) {
-  LatencyHistogram hist;
-  for (int i = 0; i < 4; ++i) hist.Record(120e-6);
-  EXPECT_DOUBLE_EQ(hist.Percentile(0.5), 120e-6);
-  EXPECT_DOUBLE_EQ(hist.Percentile(0.99), 120e-6);
-}
-
-TEST(StatsTest, OverflowBucketPercentileReportsMax) {
-  // Regression: a sample past the last bucket edge used to report that
-  // bucket's (meaningless) midpoint, ~2e8s for a 1e9s sample.
-  LatencyHistogram hist;
-  for (int i = 0; i < 9; ++i) hist.Record(1e-6);
-  hist.Record(1e9);
-  EXPECT_DOUBLE_EQ(hist.Percentile(1.0), 1e9);
-  EXPECT_DOUBLE_EQ(hist.max_seconds(), 1e9);
-}
-
-TEST(StatsTest, SnapshotCsvRowMatchesHeader) {
-  StatsRecorder recorder;
-  recorder.RecordBatch(4);
-  for (int i = 0; i < 4; ++i) recorder.RecordQuery(1e-3);
-  const ServingStatsSnapshot snap = recorder.Snapshot(CacheStats{});
-  EXPECT_EQ(snap.queries, 4u);
-  EXPECT_EQ(snap.batches, 1u);
-  EXPECT_DOUBLE_EQ(snap.mean_batch_size, 4.0);
-  EXPECT_EQ(snap.ToCsvRow().size(), ServingStatsSnapshot::CsvHeader().size());
-  EXPECT_FALSE(snap.ToString().empty());
+TEST(CacheTest, SizeGaugeTracksEntries) {
+  // The registry gauge is live, so /metrics and benches read the occupancy
+  // without a Stats() call refreshing it.
+  ShardedTopKCache cache(2, 1);
+  const obs::Gauge* size =
+      obs::Registry::Global().GetGauge(cache.obs_prefix() + "size");
+  cache.Insert(1, {1}, 5, {10});
+  cache.Insert(1, {1}, 5, {11});  // overwrite: still one entry
+  cache.Insert(2, {2}, 5, {20});
+  EXPECT_EQ(size->value(), 2.0);
+  cache.Insert(3, {3}, 5, {30});  // evicts: occupancy unchanged
+  EXPECT_EQ(size->value(), 2.0);
+  cache.Clear();
+  EXPECT_EQ(size->value(), 0.0);
 }
 
 // --------------------------------------------------------------------------
@@ -471,6 +406,35 @@ std::unique_ptr<ServingEngine> MakeEngine(ServingEngineOptions options = {}) {
   auto engine = ServingEngine::Create(MakeCheckpoint(), options);
   SMGCN_CHECK(engine.ok()) << engine.status();
   return std::move(engine).value();
+}
+
+// A request for `symptoms`: ranked top-k for k >= 1, dense scores for k == 0.
+Request MakeRequest(std::vector<int> symptoms, std::size_t k) {
+  Request request;
+  request.symptoms = std::move(symptoms);
+  request.top_k = k;
+  return request;
+}
+
+std::vector<Request> MakeRequests(const std::vector<std::vector<int>>& queries,
+                                  std::size_t k) {
+  std::vector<Request> requests;
+  for (const auto& symptoms : queries) {
+    requests.push_back(MakeRequest(symptoms, k));
+  }
+  return requests;
+}
+
+// The engine's registry instruments, e.g. "batches" or "cache.hits".
+std::uint64_t EngineCounter(const ServingEngine& engine,
+                            const std::string& name) {
+  return obs::Registry::Global()
+      .GetCounter(engine.obs_prefix() + name)
+      ->value();
+}
+
+double EngineGauge(const ServingEngine& engine, const std::string& name) {
+  return obs::Registry::Global().GetGauge(engine.obs_prefix() + name)->value();
 }
 
 TEST(ServingEngineTest, CreateRejectsBadOptions) {
@@ -489,48 +453,46 @@ TEST(ServingEngineTest, ScoreBatchBitIdenticalToCheckpointRecommender) {
 
   const std::vector<std::vector<int>> queries = {
       {4, 2, 0}, {11}, {1, 3, 5, 7, 9}, {20, 22}};
-  auto batch = (*engine)->ScoreBatch(queries);
-  ASSERT_TRUE(batch.ok());
-  ASSERT_EQ(batch->size(), queries.size());
+  const std::vector<Response> batch =
+      (*engine)->HandleBatch(MakeRequests(queries, /*k=*/0));
+  ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_TRUE(batch[i].ok()) << batch[i].message;
+    EXPECT_EQ(batch[i].model, "test-ckpt");
+    EXPECT_EQ(batch[i].version, "v1");
     const auto canonical = Canonicalize(queries[i], 24);
     auto expected = reference->Score(canonical->symptom_ids);
     ASSERT_TRUE(expected.ok());
-    EXPECT_EQ((*batch)[i], *expected) << "query " << i;
+    // Bit-identical, not approximately equal: both paths run the same
+    // fixed-order kernels.
+    EXPECT_EQ(batch[i].scores, *expected) << "query " << i;
   }
 }
 
-TEST(ServingEngineTest, RecommendMatchesRecommendBatchAndIsCanonical) {
+TEST(ServingEngineTest, HandleMatchesHandleBatchAndIsCanonical) {
   auto engine = MakeEngine();
   // {3,1,3} and {1,3} are the same query; both paths must agree.
-  auto a = engine->Recommend({3, 1, 3}, 10);
-  auto b = engine->Recommend({1, 3}, 10);
+  const Response a = engine->Handle(MakeRequest({3, 1, 3}, 10));
+  const Response b = engine->Handle(MakeRequest({1, 3}, 10));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
-  auto batch = engine->RecommendBatch({{3, 1, 3}, {1, 3}}, 10);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ((*batch)[0], *a);
-  EXPECT_EQ((*batch)[1], *a);
-}
-
-TEST(ServingEngineTest, MalformedQueryNamesIndex) {
-  auto engine = MakeEngine();
-  auto result = engine->ScoreBatch({{1}, {999}});
-  EXPECT_EQ(result.status().code(), smgcn::StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("query 1"), std::string::npos);
-  EXPECT_TRUE(engine->ScoreBatch({}).ok());  // empty batch is fine
+  EXPECT_EQ(a.herb_ids, b.herb_ids);
+  const auto batch = engine->HandleBatch(MakeRequests({{3, 1, 3}, {1, 3}}, 10));
+  ASSERT_TRUE(batch[0].ok());
+  ASSERT_TRUE(batch[1].ok());
+  EXPECT_EQ(batch[0].herb_ids, a.herb_ids);
+  EXPECT_EQ(batch[1].herb_ids, a.herb_ids);
 }
 
 TEST(ServingEngineTest, RepeatQueriesHitCache) {
   auto engine = MakeEngine();
-  ASSERT_TRUE(engine->Recommend({1, 2, 3}, 10).ok());
-  ASSERT_TRUE(engine->Recommend({3, 2, 1, 1}, 10).ok());  // same canonical set
-  const ServingStatsSnapshot stats = engine->Stats();
-  EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_EQ(stats.cache.hits, 1u);
+  ASSERT_TRUE(engine->Handle(MakeRequest({1, 2, 3}, 10)).ok());
+  // Same canonical set.
+  ASSERT_TRUE(engine->Handle(MakeRequest({3, 2, 1, 1}, 10)).ok());
+  EXPECT_EQ(EngineCounter(*engine, "cache.misses"), 1u);
+  EXPECT_EQ(EngineCounter(*engine, "cache.hits"), 1u);
   // The second query must not have triggered another GEMM.
-  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(EngineCounter(*engine, "batches"), 1u);
 }
 
 TEST(ServingEngineTest, TopKBeyondCatalogClampsAndSharesOneCacheEntry) {
@@ -543,34 +505,34 @@ TEST(ServingEngineTest, TopKBeyondCatalogClampsAndSharesOneCacheEntry) {
   const std::size_t num_herbs = engine->store().num_herbs();
   ASSERT_EQ(num_herbs, 40u);
 
-  auto exact = engine->Recommend({1, 2, 3}, num_herbs);
+  const Response exact = engine->Handle(MakeRequest({1, 2, 3}, num_herbs));
   ASSERT_TRUE(exact.ok());
-  ASSERT_EQ(exact->size(), num_herbs);
-  std::set<std::size_t> distinct(exact->begin(), exact->end());
+  ASSERT_EQ(exact.herb_ids.size(), num_herbs);
+  std::set<std::size_t> distinct(exact.herb_ids.begin(), exact.herb_ids.end());
   EXPECT_EQ(distinct.size(), num_herbs);  // every herb exactly once
 
-  auto over = engine->Recommend({1, 2, 3}, num_herbs + 1);
+  const Response over = engine->Handle(MakeRequest({1, 2, 3}, num_herbs + 1));
   ASSERT_TRUE(over.ok());
-  EXPECT_EQ(*over, *exact);
-  auto way_over = engine->Recommend({1, 2, 3}, 1000000);
+  EXPECT_EQ(over.herb_ids, exact.herb_ids);
+  const Response way_over = engine->Handle(MakeRequest({1, 2, 3}, 1000000));
   ASSERT_TRUE(way_over.ok());
-  EXPECT_EQ(*way_over, *exact);
+  EXPECT_EQ(way_over.herb_ids, exact.herb_ids);
 
-  const ServingStatsSnapshot stats = engine->Stats();
-  EXPECT_EQ(stats.cache.misses, 1u);
-  EXPECT_EQ(stats.cache.hits, 2u);
-  EXPECT_EQ(stats.batches, 1u);  // one GEMM served all three ks
+  EXPECT_EQ(EngineCounter(*engine, "cache.misses"), 1u);
+  EXPECT_EQ(EngineCounter(*engine, "cache.hits"), 2u);
+  // One GEMM served all three ks.
+  EXPECT_EQ(EngineCounter(*engine, "batches"), 1u);
 }
 
-TEST(ServingEngineTest, SubmitClampsTopKBeyondCatalog) {
+TEST(ServingEngineTest, SubmitRequestClampsTopKBeyondCatalog) {
   auto engine = MakeEngine();
   const std::size_t num_herbs = engine->store().num_herbs();
-  auto expected = engine->Recommend({2, 4}, num_herbs);
+  const Response expected = engine->Handle(MakeRequest({2, 4}, num_herbs));
   ASSERT_TRUE(expected.ok());
-  auto future = engine->Submit({2, 4}, num_herbs + 25);
-  auto result = future.get();
+  const Response result =
+      engine->SubmitRequest(MakeRequest({2, 4}, num_herbs + 25)).get();
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result, *expected);
+  EXPECT_EQ(result.herb_ids, expected.herb_ids);
 }
 
 TEST(ServingEngineTest, Float32PrecisionOptionServes) {
@@ -580,16 +542,16 @@ TEST(ServingEngineTest, Float32PrecisionOptionServes) {
   EXPECT_EQ(f32_engine->store().precision(), tensor::Precision::kFloat32);
   auto f64_engine = MakeEngine();
 
-  auto a = f32_engine->Recommend({1, 2, 3}, 10);
-  auto b = f64_engine->Recommend({1, 2, 3}, 10);
+  const Response a = f32_engine->Handle(MakeRequest({1, 2, 3}, 10));
+  const Response b = f64_engine->Handle(MakeRequest({1, 2, 3}, 10));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->size(), 10u);
+  ASSERT_EQ(a.herb_ids.size(), 10u);
   // Narrowing can swap near-tied neighbours; membership should still be
   // near-total (the strict thresholds live in kernels_test).
-  std::set<std::size_t> a_set(a->begin(), a->end());
+  std::set<std::size_t> a_set(a.herb_ids.begin(), a.herb_ids.end());
   std::size_t agree = 0;
-  for (std::size_t id : *b) agree += a_set.count(id);
+  for (std::size_t id : b.herb_ids) agree += a_set.count(id);
   EXPECT_GE(agree, 9u);
 
   // Publish through the engine keeps the configured precision.
@@ -597,79 +559,46 @@ TEST(ServingEngineTest, Float32PrecisionOptionServes) {
   EXPECT_EQ(f32_engine->store().precision(), tensor::Precision::kFloat32);
 }
 
-TEST(ServingEngineTest, StatsCompatibilityViewMatchesRegistry) {
-  // Stats() is a thin view assembled from the engine's registry scope; for
-  // a fixed workload its values must match the pre-redesign recorder:
-  // 3 distinct queries (one GEMM each) plus 1 repeat (cache hit, no GEMM).
-  auto engine = MakeEngine();
-  ASSERT_TRUE(engine->Recommend({1, 2, 3}, 10).ok());
-  ASSERT_TRUE(engine->Recommend({4, 5}, 10).ok());
-  ASSERT_TRUE(engine->Recommend({6}, 10).ok());
-  ASSERT_TRUE(engine->Recommend({3, 2, 1}, 10).ok());
-
-  const ServingStatsSnapshot stats = engine->Stats();
-  EXPECT_EQ(stats.queries, 4u);
-  EXPECT_EQ(stats.batches, 3u);
-  EXPECT_EQ(stats.batched_queries, 3u);
-  EXPECT_EQ(stats.max_batch_size, 1u);
-  EXPECT_DOUBLE_EQ(stats.mean_batch_size, 1.0);
-  EXPECT_EQ(stats.cache.misses, 3u);
-  EXPECT_EQ(stats.cache.hits, 1u);
-  EXPECT_GT(stats.latency_p50_ms, 0.0);
-
-  // Cross-check every snapshot field against the underlying instruments.
-  obs::Registry& reg = obs::Registry::Global();
-  const std::string& prefix = engine->obs_prefix();
-  EXPECT_EQ(reg.GetCounter(prefix + "queries")->value(), stats.queries);
-  EXPECT_EQ(reg.GetCounter(prefix + "batches")->value(), stats.batches);
-  EXPECT_EQ(reg.GetCounter(prefix + "batched_queries")->value(),
-            stats.batched_queries);
-  EXPECT_EQ(reg.GetCounter(prefix + "cache.hits")->value(), stats.cache.hits);
-  EXPECT_EQ(reg.GetCounter(prefix + "cache.misses")->value(),
-            stats.cache.misses);
-  EXPECT_EQ(reg.GetHistogram(prefix + "latency.seconds")->count(),
-            stats.queries);
-}
-
 TEST(ServingEngineTest, EnginesGetDistinctObsScopes) {
   auto a = MakeEngine();
   auto b = MakeEngine();
   EXPECT_NE(a->obs_prefix(), b->obs_prefix());
   // One engine's traffic must not leak into the other's instruments.
-  ASSERT_TRUE(a->Recommend({1, 2}, 5).ok());
-  EXPECT_EQ(a->Stats().queries, 1u);
-  EXPECT_EQ(b->Stats().queries, 0u);
+  ASSERT_TRUE(a->Handle(MakeRequest({1, 2}, 5)).ok());
+  EXPECT_EQ(EngineCounter(*a, "queries"), 1u);
+  EXPECT_EQ(EngineCounter(*b, "queries"), 0u);
 }
 
 TEST(ServingEngineTest, CacheDisabledStillServes) {
   ServingEngineOptions options;
   options.cache_capacity = 0;
   auto engine = MakeEngine(options);
-  auto a = engine->Recommend({1, 2}, 5);
-  auto b = engine->Recommend({1, 2}, 5);
+  const Response a = engine->Handle(MakeRequest({1, 2}, 5));
+  const Response b = engine->Handle(MakeRequest({1, 2}, 5));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
-  EXPECT_EQ(engine->Stats().cache.hits, 0u);
-  EXPECT_EQ(engine->Stats().batches, 2u);
+  EXPECT_EQ(a.herb_ids, b.herb_ids);
+  EXPECT_EQ(EngineCounter(*engine, "cache.hits"), 0u);
+  EXPECT_EQ(EngineCounter(*engine, "batches"), 2u);
 }
 
-TEST(ServingEngineTest, SubmitMatchesSyncRecommend) {
+TEST(ServingEngineTest, SubmitRequestMatchesHandle) {
   auto engine = MakeEngine();
-  auto expected = engine->Recommend({2, 4, 6}, 8);
+  const Response expected = engine->Handle(MakeRequest({2, 4, 6}, 8));
   ASSERT_TRUE(expected.ok());
-  auto future = engine->Submit({6, 4, 2, 2}, 8);  // same canonical query
-  auto result = future.get();
+  // Same canonical query.
+  const Response result =
+      engine->SubmitRequest(MakeRequest({6, 4, 2, 2}, 8)).get();
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result, *expected);
+  EXPECT_EQ(result.herb_ids, expected.herb_ids);
 }
 
-TEST(ServingEngineTest, SubmitRejectsMalformedImmediately) {
+TEST(ServingEngineTest, SubmitRequestRejectsMalformedImmediately) {
   auto engine = MakeEngine();
-  EXPECT_EQ(engine->Submit({}, 5).get().status().code(),
-            smgcn::StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine->Submit({-3}, 5).get().status().code(),
-            smgcn::StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->SubmitRequest(MakeRequest({}, 5)).get().status,
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->SubmitRequest(MakeRequest({-3}, 5)).get().status,
+            StatusCode::kInvalidArgument);
 }
 
 TEST(ServingEngineTest, ConcurrentSubmitsFromManyThreads) {
@@ -683,9 +612,9 @@ TEST(ServingEngineTest, ConcurrentSubmitsFromManyThreads) {
   std::vector<std::vector<std::size_t>> expected;
   for (int i = 0; i < 24; ++i) {
     queries.push_back({i % 24, (i * 7 + 1) % 24, (i * 3 + 2) % 24});
-    auto top = engine->Recommend(queries.back(), 10);
+    const Response top = engine->Handle(MakeRequest(queries.back(), 10));
     ASSERT_TRUE(top.ok());
-    expected.push_back(*top);
+    expected.push_back(top.herb_ids);
   }
 
   constexpr int kThreads = 8;
@@ -694,30 +623,31 @@ TEST(ServingEngineTest, ConcurrentSubmitsFromManyThreads) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
+      std::vector<std::future<Response>> futures;
       for (int i = 0; i < kPerThread; ++i) {
         const auto& q = queries[(t * kPerThread + i) % queries.size()];
-        futures.push_back(engine->Submit(q, 10));
+        futures.push_back(engine->SubmitRequest(MakeRequest(q, 10)));
       }
       for (int i = 0; i < kPerThread; ++i) {
-        auto result = futures[i].get();
+        const Response result = futures[i].get();
         const auto& want = expected[(t * kPerThread + i) % expected.size()];
-        if (!result.ok() || *result != want) mismatches.fetch_add(1);
+        if (!result.ok() || result.herb_ids != want) mismatches.fetch_add(1);
       }
     });
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
-  const ServingStatsSnapshot stats = engine->Stats();
-  EXPECT_GE(stats.queries, static_cast<std::uint64_t>(kThreads * kPerThread));
-  EXPECT_GT(stats.cache.hits, 0u);  // repeats must hit the cache
+  EXPECT_GE(EngineCounter(*engine, "queries"),
+            static_cast<std::uint64_t>(kThreads * kPerThread));
+  // Repeats must hit the cache.
+  EXPECT_GT(EngineCounter(*engine, "cache.hits"), 0u);
 }
 
-TEST(ServingEngineTest, ScoreBatchHammeredUnderParallelKernels) {
+TEST(ServingEngineTest, RequestPathHammeredUnderParallelKernels) {
   // Cache + stats audit under the multi-threaded kernels: a deliberately
-  // tiny sharded cache (constant evictions) is hammered by sync ScoreBatch,
-  // RecommendBatch and async Submit from several threads while the tensor
-  // kernels themselves fan out across the process-wide parallel pool.
+  // tiny sharded cache (constant evictions) is hammered by dense and ranked
+  // HandleBatch and async SubmitRequest from several threads while the
+  // tensor kernels themselves fan out across the process-wide parallel pool.
   parallel::SetNumThreads(4);
   ServingEngineOptions options;
   options.max_batch_size = 8;
@@ -732,12 +662,12 @@ TEST(ServingEngineTest, ScoreBatchHammeredUnderParallelKernels) {
   std::vector<std::vector<std::size_t>> expected_topk;
   for (int i = 0; i < 16; ++i) {
     queries.push_back({i % 24, (i * 5 + 3) % 24});
-    auto scores = engine->Score(queries.back());
+    const Response scores = engine->Handle(MakeRequest(queries.back(), 0));
     ASSERT_TRUE(scores.ok());
-    expected_scores.push_back(*scores);
-    auto top = engine->Recommend(queries.back(), 6);
+    expected_scores.push_back(scores.scores);
+    const Response top = engine->Handle(MakeRequest(queries.back(), 6));
     ASSERT_TRUE(top.ok());
-    expected_topk.push_back(*top);
+    expected_topk.push_back(top.herb_ids);
   }
 
   constexpr int kThreads = 6;
@@ -752,20 +682,23 @@ TEST(ServingEngineTest, ScoreBatchHammeredUnderParallelKernels) {
             queries[base % queries.size()], queries[(base + 5) % queries.size()],
             queries[(base + 11) % queries.size()]};
         if (i % 3 == 0) {
-          auto scores = engine->ScoreBatch(batch);
-          if (!scores.ok() || (*scores)[0] != expected_scores[base % queries.size()]) {
+          const auto scores = engine->HandleBatch(MakeRequests(batch, 0));
+          if (!scores[0].ok() ||
+              scores[0].scores != expected_scores[base % queries.size()]) {
             mismatches.fetch_add(1);
             continue;
           }
         } else if (i % 3 == 1) {
-          auto top = engine->RecommendBatch(batch, 6);
-          if (!top.ok() || (*top)[0] != expected_topk[base % queries.size()]) {
+          const auto top = engine->HandleBatch(MakeRequests(batch, 6));
+          if (!top[0].ok() ||
+              top[0].herb_ids != expected_topk[base % queries.size()]) {
             mismatches.fetch_add(1);
           }
         } else {
-          auto future = engine->Submit(batch[0], 6);
-          auto top = future.get();
-          if (!top.ok() || *top != expected_topk[base % queries.size()]) {
+          const Response top =
+              engine->SubmitRequest(MakeRequest(batch[0], 6)).get();
+          if (!top.ok() ||
+              top.herb_ids != expected_topk[base % queries.size()]) {
             mismatches.fetch_add(1);
           }
         }
@@ -775,14 +708,17 @@ TEST(ServingEngineTest, ScoreBatchHammeredUnderParallelKernels) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
 
-  const ServingStatsSnapshot stats = engine->Stats();
   // Counter coherence across shards: every lookup is either a hit or a miss,
   // occupancy never exceeds the budget, and churn actually happened.
-  EXPECT_GT(stats.cache.misses, 0u);
-  EXPECT_GT(stats.cache.evictions, 0u);
-  EXPECT_LE(stats.cache.size, stats.cache.capacity);
-  EXPECT_LE(stats.cache.evictions, stats.cache.misses);
-  EXPECT_GE(stats.queries, static_cast<std::uint64_t>(kThreads * kIters));
+  const std::uint64_t misses = EngineCounter(*engine, "cache.misses");
+  const std::uint64_t evictions = EngineCounter(*engine, "cache.evictions");
+  EXPECT_GT(misses, 0u);
+  EXPECT_GT(evictions, 0u);
+  EXPECT_LE(EngineGauge(*engine, "cache.size"),
+            EngineGauge(*engine, "cache.capacity"));
+  EXPECT_LE(evictions, misses);
+  EXPECT_GE(EngineCounter(*engine, "queries"),
+            static_cast<std::uint64_t>(kThreads * kIters));
   parallel::SetNumThreads(1);
 }
 
@@ -792,37 +728,40 @@ TEST(ServingEngineTest, MicroBatcherCoalesces) {
   options.max_wait_ms = 20.0;  // generous window so the queue fills up
   options.cache_capacity = 0;  // force every query through the GEMM
   auto engine = MakeEngine(options);
-  std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
+  std::vector<std::future<Response>> futures;
   for (int i = 0; i < 32; ++i) {
-    futures.push_back(engine->Submit({i % 24, (i + 1) % 24}, 5));
+    futures.push_back(
+        engine->SubmitRequest(MakeRequest({i % 24, (i + 1) % 24}, 5)));
   }
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-  const ServingStatsSnapshot stats = engine->Stats();
   // 32 queries must have shared GEMMs: far fewer batches than queries.
-  EXPECT_LT(stats.batches, 32u);
-  EXPECT_GT(stats.mean_batch_size, 1.0);
+  const std::uint64_t batches = EngineCounter(*engine, "batches");
+  EXPECT_LT(batches, 32u);
+  EXPECT_GT(static_cast<double>(EngineCounter(*engine, "batched_queries")) /
+                static_cast<double>(batches),
+            1.0);
 }
 
 TEST(ServingEngineTest, ShutdownDrainsQueuedQueries) {
   ServingEngineOptions options;
   options.max_wait_ms = 50.0;  // queries would linger without the drain
   auto engine = MakeEngine(options);
-  std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
+  std::vector<std::future<Response>> futures;
   for (int i = 0; i < 20; ++i) {
-    futures.push_back(engine->Submit({i % 24}, 5));
+    futures.push_back(engine->SubmitRequest(MakeRequest({i % 24}, 5)));
   }
   engine->Shutdown();
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   // After shutdown, new queries fail fast.
-  EXPECT_EQ(engine->Submit({1}, 5).get().status().code(),
-            smgcn::StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine->SubmitRequest(MakeRequest({1}, 5)).get().status,
+            StatusCode::kUnavailable);
 }
 
 TEST(ServingEngineTest, DestructorDrainsImplicitly) {
-  std::future<Result<std::vector<std::size_t>>> future;
+  std::future<Response> future;
   {
     auto engine = MakeEngine();
-    future = engine->Submit({1, 2}, 5);
+    future = engine->SubmitRequest(MakeRequest({1, 2}, 5));
   }  // ~ServingEngine must resolve the future
   EXPECT_TRUE(future.get().ok());
 }
@@ -858,6 +797,17 @@ TEST(EngineRecommenderTest, OverridesBatchPathAndMatchesBase) {
   EXPECT_EQ(top->size(), 5u);
 }
 
+TEST(EngineRecommenderTest, MalformedQueryNamesIndex) {
+  // The adapter owns HerbRecommender's batch error contract: the first
+  // invalid query fails the batch and the message names its index.
+  auto engine = MakeEngine();
+  EngineRecommender recommender(engine.get());
+  auto result = recommender.ScoreBatch({{1}, {999}});
+  EXPECT_EQ(result.status().code(), smgcn::StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("query 1"), std::string::npos);
+  EXPECT_TRUE(recommender.ScoreBatch({}).ok());  // empty batch is fine
+}
+
 // --------------------------------------------------------------------------
 // Slow-query log
 // --------------------------------------------------------------------------
@@ -865,7 +815,7 @@ TEST(EngineRecommenderTest, OverridesBatchPathAndMatchesBase) {
 TEST(SlowQueryLogTest, DisabledByDefault) {
   auto engine = MakeEngine();
   EXPECT_FALSE(engine->slow_query_log().enabled());
-  ASSERT_TRUE(engine->Recommend({1, 2, 3}, 5).ok());
+  ASSERT_TRUE(engine->Handle(MakeRequest({1, 2, 3}, 5)).ok());
   EXPECT_EQ(engine->slow_query_log().total_recorded(), 0u);
   EXPECT_TRUE(engine->slow_query_log().Snapshot().empty());
 }
@@ -883,8 +833,11 @@ TEST(SlowQueryLogTest, SyncQueriesRecordStageBreakdown) {
   options.cache_capacity = 4;
   auto engine = MakeEngine(options);
   ASSERT_TRUE(engine->slow_query_log().enabled());
-  ASSERT_TRUE(engine->RecommendBatch({{1, 2}, {3, 4, 5}}, 7).ok());
-  ASSERT_TRUE(engine->Recommend({1, 2}, 7).ok());  // cache hit
+  for (const Response& response :
+       engine->HandleBatch(MakeRequests({{1, 2}, {3, 4, 5}}, 7))) {
+    ASSERT_TRUE(response.ok());
+  }
+  ASSERT_TRUE(engine->Handle(MakeRequest({1, 2}, 7)).ok());  // cache hit
 
   const auto records = engine->slow_query_log().Snapshot();
   ASSERT_EQ(records.size(), 3u);
@@ -913,9 +866,10 @@ TEST(SlowQueryLogTest, AsyncQueriesRecordQueueAndBatch) {
   options.max_batch_size = 64;
   options.max_wait_ms = 10.0;  // encourage coalescing
   auto engine = MakeEngine(options);
-  std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
+  std::vector<std::future<Response>> futures;
   for (int i = 0; i < 16; ++i) {
-    futures.push_back(engine->Submit({i % 24, (i + 3) % 24}, 5));
+    futures.push_back(
+        engine->SubmitRequest(MakeRequest({i % 24, (i + 3) % 24}, 5)));
   }
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
   engine->Shutdown();
@@ -940,47 +894,10 @@ TEST(SlowQueryLogTest, EvictsOldestBeyondCapacity) {
   options.cache_capacity = 0;
   auto engine = MakeEngine(options);
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(engine->Recommend({i % 24, (i + 1) % 24}, 5).ok());
+    ASSERT_TRUE(engine->Handle(MakeRequest({i % 24, (i + 1) % 24}, 5)).ok());
   }
   EXPECT_EQ(engine->slow_query_log().Snapshot().size(), 4u);
   EXPECT_EQ(engine->slow_query_log().total_recorded(), 10u);
-}
-
-// --------------------------------------------------------------------------
-// Deprecated threading knobs
-// --------------------------------------------------------------------------
-
-TEST(ServingEngineTest, DeprecatedThreadKnobsWarnExactlyOncePerKnob) {
-  // The warnings deduplicate process-wide, and an earlier test in this
-  // binary already constructs an engine with num_threads set — so only
-  // kernel_threads (used nowhere else) can be asserted exactly-once here;
-  // num_threads is asserted at-most-once (the dedup property itself).
-  std::vector<std::string> captured;
-  SetLogSink([&captured](LogLevel level, const std::string& line) {
-    if (level == LogLevel::kWarning) captured.push_back(line);
-  });
-  ServingEngineOptions options;
-  options.num_threads = 2;
-  options.kernel_threads = 2;
-  for (int round = 0; round < 2; ++round) {
-    auto engine = MakeEngine(options);
-    ASSERT_TRUE(engine->Recommend({1, 2}, 5).ok());
-  }
-  SetLogSink(nullptr);
-  std::size_t num_threads_lines = 0;
-  std::size_t kernel_threads_lines = 0;
-  for (const std::string& line : captured) {
-    if (line.find("ServingEngineOptions::num_threads is deprecated") !=
-        std::string::npos) {
-      ++num_threads_lines;
-    }
-    if (line.find("ServingEngineOptions::kernel_threads is deprecated") !=
-        std::string::npos) {
-      ++kernel_threads_lines;
-    }
-  }
-  EXPECT_LE(num_threads_lines, 1u);
-  EXPECT_EQ(kernel_threads_lines, 1u);
 }
 
 // --------------------------------------------------------------------------
@@ -990,7 +907,7 @@ TEST(ServingEngineTest, DeprecatedThreadKnobsWarnExactlyOncePerKnob) {
 TEST(ServingEngineSwapTest, PublishSwapsScoresAndVersion) {
   auto engine = MakeEngine();
   EXPECT_EQ(engine->active_version(), "v1");
-  auto before = engine->Score({1, 2});
+  const Response before = engine->Handle(MakeRequest({1, 2}, 0));
   ASSERT_TRUE(before.ok());
 
   // A different model: same shapes, shifted embeddings.
@@ -1003,9 +920,9 @@ TEST(ServingEngineSwapTest, PublishSwapsScoresAndVersion) {
   ASSERT_TRUE(engine->Publish(std::move(next), "v2").ok());
   EXPECT_EQ(engine->active_version(), "v2");
 
-  auto after = engine->Score({1, 2});
+  const Response after = engine->Handle(MakeRequest({1, 2}, 0));
   ASSERT_TRUE(after.ok());
-  EXPECT_NE(*before, *after);
+  EXPECT_NE(before.scores, after.scores);
   EXPECT_EQ(engine->Snapshot()->version, "v2");
 }
 
@@ -1021,13 +938,12 @@ TEST(ServingEngineSwapTest, PublishRejectsBadInput) {
 
 TEST(ServingEngineSwapTest, CacheEntriesAreScopedToTheirPublish) {
   auto engine = MakeEngine();
-  ASSERT_TRUE(engine->Recommend({1, 2, 3}, 10).ok());
+  ASSERT_TRUE(engine->Handle(MakeRequest({1, 2, 3}, 10)).ok());
   ASSERT_TRUE(engine->Publish(MakeCheckpoint(12, 40, 8), "v2").ok());
   // Same query, new snapshot: the v1 cache entry must not answer it.
-  ASSERT_TRUE(engine->Recommend({1, 2, 3}, 10).ok());
-  const ServingStatsSnapshot stats = engine->Stats();
-  EXPECT_EQ(stats.cache.hits, 0u);
-  EXPECT_EQ(stats.cache.misses, 2u);
+  ASSERT_TRUE(engine->Handle(MakeRequest({1, 2, 3}, 10)).ok());
+  EXPECT_EQ(EngineCounter(*engine, "cache.hits"), 0u);
+  EXPECT_EQ(EngineCounter(*engine, "cache.misses"), 2u);
 }
 
 TEST(ServingEngineSwapTest, PublishCountsInRegistry) {
@@ -1050,21 +966,23 @@ TEST(ServingEngineSwapTest, InFlightSubmitsFinishOnTheirSnapshot) {
   options.cache_capacity = 0;
   auto engine = MakeEngine(options);
 
-  auto expected = engine->Recommend({2, 4}, 5);
+  const Response expected = engine->Handle(MakeRequest({2, 4}, 5));
   ASSERT_TRUE(expected.ok());
 
-  std::vector<std::future<Result<std::vector<std::size_t>>>> futures;
-  for (int i = 0; i < 8; ++i) futures.push_back(engine->Submit({2, 4}, 5));
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 8; ++i) {
+    futures.push_back(engine->SubmitRequest(MakeRequest({2, 4}, 5)));
+  }
   ASSERT_TRUE(engine->Publish(MakeCheckpoint(12, 40, 8), "v2").ok());
   for (auto& f : futures) {
-    auto result = f.get();
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(*result, *expected);
+    const Response result = f.get();
+    ASSERT_TRUE(result.ok()) << result.message;
+    EXPECT_EQ(result.herb_ids, expected.herb_ids);
   }
   // New queries see the new model's herb count (40 stays, but ids shrink
   // to the 12-symptom vocabulary: symptom 20 is now out of range).
-  EXPECT_EQ(engine->Recommend({20}, 5).status().code(),
-            smgcn::StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->Handle(MakeRequest({20}, 5)).status,
+            StatusCode::kInvalidArgument);
 }
 
 // --------------------------------------------------------------------------
@@ -1146,63 +1064,8 @@ TEST(ServeStatusTest, HttpStatusMapping) {
 }
 
 // --------------------------------------------------------------------------
-// The unified Request/Response surface (Handle / HandleBatch /
-// SubmitRequest) and the deprecated-but-honoured shims
+// The Request/Response surface (Handle / HandleBatch / SubmitRequest)
 // --------------------------------------------------------------------------
-
-TEST(RequestSurfaceTest, DenseModeMatchesScoreBatchBitForBit) {
-  auto engine = MakeEngine();
-  const std::vector<std::vector<int>> queries = {{1, 2, 3}, {5}, {0, 23}};
-  auto legacy = engine->ScoreBatch(queries);
-  ASSERT_TRUE(legacy.ok());
-
-  std::vector<Request> requests(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    requests[i].symptoms = queries[i];
-    requests[i].top_k = 0;  // dense mode
-  }
-  const std::vector<Response> responses = engine->HandleBatch(requests);
-  ASSERT_EQ(responses.size(), queries.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    ASSERT_TRUE(responses[i].ok()) << responses[i].message;
-    EXPECT_EQ(responses[i].model, "test-ckpt");
-    EXPECT_EQ(responses[i].version, "v1");
-    ASSERT_EQ(responses[i].scores.size(), (*legacy)[i].size());
-    for (std::size_t h = 0; h < responses[i].scores.size(); ++h) {
-      // Bit-identical, not approximately equal: both paths run the same
-      // fixed-order kernels on the same snapshot.
-      EXPECT_EQ(responses[i].scores[h], (*legacy)[i][h]);
-    }
-  }
-}
-
-TEST(RequestSurfaceTest, RankedModeMatchesRecommend) {
-  auto engine = MakeEngine();
-  auto legacy = engine->Recommend({2, 4, 6}, 7);
-  ASSERT_TRUE(legacy.ok());
-
-  Request request;
-  request.symptoms = std::vector<int>{2, 4, 6};
-  request.top_k = 7;
-  const Response response = engine->Handle(request);
-  ASSERT_TRUE(response.ok()) << response.message;
-  EXPECT_EQ(response.herb_ids, *legacy);
-  EXPECT_TRUE(response.scores.empty());
-}
-
-TEST(RequestSurfaceTest, SubmitShimMatchesSubmitRequest) {
-  auto engine = MakeEngine();
-  auto legacy = engine->Submit({3, 9}, 5).get();
-  ASSERT_TRUE(legacy.ok());
-
-  Request request;
-  request.symptoms = std::vector<int>{3, 9};
-  request.top_k = 5;
-  const Response response = engine->SubmitRequest(std::move(request)).get();
-  ASSERT_TRUE(response.ok()) << response.message;
-  EXPECT_EQ(response.herb_ids, *legacy);
-  EXPECT_EQ(response.version, "v1");
-}
 
 TEST(RequestSurfaceTest, InvalidRequestsGetPerRequestErrors) {
   auto engine = MakeEngine();
@@ -1330,14 +1193,6 @@ TEST(RequestSurfaceTest, FullQueueShedsWithSheddingStatus) {
   }
   EXPECT_EQ(ok, 2u);
   EXPECT_EQ(shed, 8u);
-
-  // The legacy Submit shim rides the same bounded queue and reports the
-  // internal spelling of the same status.
-  auto legacy = engine->Submit({1, 2}, 5);
-  auto result = legacy.get();
-  if (!result.ok()) {
-    EXPECT_EQ(result.status().code(), smgcn::StatusCode::kResourceExhausted);
-  }
 }
 
 TEST(RequestSurfaceTest, ShedRequestsCountInObsRegistry) {
@@ -1357,37 +1212,6 @@ TEST(RequestSurfaceTest, ShedRequestsCountInObsRegistry) {
   const auto* shed = obs::Registry::Global().GetCounter(
       engine->obs_prefix() + "shed");
   EXPECT_EQ(shed->value(), 3u);
-}
-
-TEST(RequestSurfaceTest, DeprecatedShimsWarnAtMostOncePerEntryPoint) {
-  // LogWarningOnce keys are process-global, so earlier tests may already
-  // have consumed the single warning; what this asserts is the dedup: many
-  // calls never produce a second line per entry point.
-  std::vector<std::string> captured;
-  SetLogSink([&captured](LogLevel level, const std::string& line) {
-    if (level == LogLevel::kWarning) captured.push_back(line);
-  });
-  auto engine = MakeEngine();
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(engine->ScoreBatch({{1, 2}}).ok());
-    ASSERT_TRUE(engine->RecommendBatch({{1, 2}}, 5).ok());
-    ASSERT_TRUE(engine->Score({1, 2}).ok());
-    ASSERT_TRUE(engine->Recommend({1, 2}, 5).ok());
-    ASSERT_TRUE(engine->Submit({1, 2}, 5).get().ok());
-  }
-  SetLogSink(nullptr);
-  for (const char* key :
-       {"ServingEngine::ScoreBatch is deprecated",
-        "ServingEngine::RecommendBatch is deprecated",
-        "ServingEngine::Score is deprecated",
-        "ServingEngine::Recommend is deprecated",
-        "ServingEngine::Submit is deprecated"}) {
-    std::size_t count = 0;
-    for (const std::string& line : captured) {
-      if (line.find(key) != std::string::npos) ++count;
-    }
-    EXPECT_LE(count, 1u) << key;
-  }
 }
 
 TEST(RequestSurfaceTest, ShutdownDrainAnswersQueuedRequests) {
@@ -1644,10 +1468,10 @@ TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
 
       // The served scores are the dense scores for the same query: the
       // attribution decomposes exactly what the ranking saw.
-      auto dense = (*engine)->Score(symptoms);
+      const Response dense = (*engine)->Handle(MakeRequest(symptoms, 0));
       ASSERT_TRUE(dense.ok());
       for (const audit::HerbAttribution& herb : sync.attribution->herbs) {
-        EXPECT_EQ(herb.score, (*dense)[herb.herb_id]);
+        EXPECT_EQ(herb.score, dense.scores[herb.herb_id]);
         EXPECT_TRUE(herb.has_components);
         // With components the split is informative: the bipar term is not
         // just the whole score.
