@@ -73,19 +73,6 @@ void ShardedTopKCache::Insert(std::uint64_t key, std::vector<int> symptom_ids,
   shard.entries.emplace(key, std::move(entry));
 }
 
-CacheStats ShardedTopKCache::Stats() const {
-  CacheStats stats;
-  stats.capacity = per_shard_capacity_ * shards_.size();
-  stats.hits = hits_->value();
-  stats.misses = misses_->value();
-  stats.evictions = evictions_->value();
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    stats.size += shard.entries.size();
-  }
-  return stats;
-}
-
 void ShardedTopKCache::Clear() {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);

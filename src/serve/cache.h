@@ -16,7 +16,8 @@
 //   <prefix>size       gauge (live entry count)
 //   <prefix>capacity   gauge
 //
-// Stats() aggregates the same counts into one CacheStats value.
+// These instruments are the cache's only metrics view; readers take the
+// hit ratio from hits / (hits + misses).
 #ifndef SMGCN_SERVE_CACHE_H_
 #define SMGCN_SERVE_CACHE_H_
 
@@ -32,20 +33,6 @@
 
 namespace smgcn {
 namespace serve {
-
-/// Point-in-time cache counters.
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t size = 0;
-  std::size_t capacity = 0;
-
-  double hit_rate() const {
-    const std::uint64_t total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
-  }
-};
 
 /// Thread-safe sharded LRU cache: canonical query key -> top-k herb ids.
 class ShardedTopKCache {
@@ -68,9 +55,6 @@ class ShardedTopKCache {
   void Insert(std::uint64_t key, std::vector<int> symptom_ids, std::size_t k,
               std::vector<std::size_t> top_k);
 
-  /// Aggregated counters across shards.
-  CacheStats Stats() const;
-
   /// Drops every entry (counters are retained).
   void Clear();
 
@@ -88,7 +72,7 @@ class ShardedTopKCache {
   };
 
   struct Shard {
-    mutable std::mutex mu;
+    std::mutex mu;
     std::unordered_map<std::uint64_t, Entry> entries;
     std::list<std::uint64_t> lru;  // front = most recent
   };

@@ -85,6 +85,17 @@ std::vector<float> DequantizeTableF32(const std::vector<std::int8_t>& q,
   return out;
 }
 
+/// Copies an int8 artifact section — values and per-row scales — verbatim.
+tensor::quantize::QuantizedMatrix CopyS8Section(
+    const core::MappedArtifact::SectionView& view) {
+  tensor::quantize::QuantizedMatrix m;
+  m.values.assign(view.data_s8, view.data_s8 + view.rows * view.cols);
+  m.scales.assign(view.scales, view.scales + view.rows);
+  m.rows = view.rows;
+  m.cols = view.cols;
+  return m;
+}
+
 /// Pre-packs the transposed herb table into the active kernel backend's
 /// gemm_s8_packed layout, hoisting the GEMM's per-call bt widening to build
 /// time. Empty when the backend has no packed form (scalar) —
@@ -98,48 +109,29 @@ std::vector<std::int32_t> PackHerbsS8(const std::vector<std::int8_t>& bt,
 }
 }  // namespace
 
+EmbeddingStore::EmbeddingStore(const core::InferenceCheckpoint& checkpoint,
+                               tensor::Precision precision)
+    : model_name_(checkpoint.model_name),
+      precision_(precision),
+      num_symptoms_(checkpoint.symptom_embeddings.rows()),
+      num_herbs_(checkpoint.herb_embeddings.rows()),
+      dim_(checkpoint.symptom_embeddings.cols()),
+      has_si_mlp_(checkpoint.has_si_mlp),
+      has_herb_bipar_(checkpoint.has_herb_bipar) {}
+
 Result<EmbeddingStore> EmbeddingStore::Build(core::InferenceCheckpoint checkpoint,
                                              tensor::Precision precision) {
   RETURN_IF_ERROR(checkpoint.Validate());
-  EmbeddingStore store;
-  store.model_name_ = std::move(checkpoint.model_name);
-  store.precision_ = precision;
-  store.num_symptoms_ = checkpoint.symptom_embeddings.rows();
-  store.num_herbs_ = checkpoint.herb_embeddings.rows();
-  store.dim_ = checkpoint.symptom_embeddings.cols();
-  store.has_si_mlp_ = checkpoint.has_si_mlp;
   if (precision == tensor::Precision::kInt8) {
-    // Quantize per matrix row (symptom s, herb j) once at build time; herb
-    // values are then re-laid out into the transposed serving layout, where
-    // herb j's scale becomes column j's scale.
-    tensor::quantize::QuantizedMatrix symptoms =
-        tensor::quantize::QuantizeRows(checkpoint.symptom_embeddings);
-    tensor::quantize::QuantizedMatrix herbs =
-        tensor::quantize::QuantizeRows(checkpoint.herb_embeddings);
-    store.symptom_s8_ = std::move(symptoms.values);
-    store.symptom_scales_ = std::move(symptoms.scales);
-    store.symptom_f32_ =
-        DequantizeTableF32(store.symptom_s8_, store.symptom_scales_, store.dim_);
-    store.herbs_t_s8_ = TransposeS8(herbs.values.data(), herbs.rows, herbs.cols);
-    store.herb_scales_ = std::move(herbs.scales);
-    store.herb_packed_ =
-        PackHerbsS8(store.herbs_t_s8_, store.dim_, store.num_herbs_);
-    if (store.has_si_mlp_) {
-      // The SI MLP stays f32: only the embedding GEMM is quantized.
-      store.si_weight_f32_ = NarrowToF32(checkpoint.si_weight);
-      store.si_bias_f32_ = NarrowToF32(checkpoint.si_bias);
-    }
-    if (checkpoint.has_herb_bipar) {
-      // Attribution component at the store's own precision; row-major (it
-      // is read one herb row at a time, never GEMMed, so no transpose).
-      tensor::quantize::QuantizedMatrix bipar =
-          tensor::quantize::QuantizeRows(checkpoint.herb_bipar);
-      store.herb_bipar_s8_ = std::move(bipar.values);
-      store.herb_bipar_scales_ = std::move(bipar.scales);
-      store.has_herb_bipar_ = true;
-    }
-    return store;
+    // Quantize every table per row (symptom s, herb j) once, here.
+    using tensor::quantize::QuantizeRows;
+    tensor::quantize::QuantizedMatrix bipar;
+    if (checkpoint.has_herb_bipar) bipar = QuantizeRows(checkpoint.herb_bipar);
+    return BuildInt8(checkpoint, QuantizeRows(checkpoint.symptom_embeddings),
+                     QuantizeRows(checkpoint.herb_embeddings),
+                     std::move(bipar));
   }
+  EmbeddingStore store(checkpoint, precision);
   // Serving layout: the GEMM wants herb-contiguous rows per embedding dim.
   tensor::Matrix herbs_t = checkpoint.herb_embeddings.Transpose();
   if (precision == tensor::Precision::kFloat32) {
@@ -151,9 +143,8 @@ Result<EmbeddingStore> EmbeddingStore::Build(core::InferenceCheckpoint checkpoin
       store.si_weight_f32_ = NarrowToF32(checkpoint.si_weight);
       store.si_bias_f32_ = NarrowToF32(checkpoint.si_bias);
     }
-    if (checkpoint.has_herb_bipar) {
+    if (store.has_herb_bipar_) {
       store.herb_bipar_f32_ = NarrowToF32(checkpoint.herb_bipar);
-      store.has_herb_bipar_ = true;
     }
     return store;
   }
@@ -163,9 +154,8 @@ Result<EmbeddingStore> EmbeddingStore::Build(core::InferenceCheckpoint checkpoin
     store.si_weight_ = std::move(checkpoint.si_weight);
     store.si_bias_ = std::move(checkpoint.si_bias);
   }
-  if (checkpoint.has_herb_bipar) {
+  if (store.has_herb_bipar_) {
     store.herb_bipar_ = std::move(checkpoint.herb_bipar);
-    store.has_herb_bipar_ = true;
   }
   return store;
 }
@@ -183,39 +173,37 @@ Result<EmbeddingStore> EmbeddingStore::BuildFromArtifact(
   // checkpoint would reproduce the same bits — the round trip is exact —
   // but copying the mapped payload makes "stored precision" literal and
   // skips the quantization pass.)
-  EmbeddingStore store;
-  store.model_name_ = std::move(checkpoint.model_name);
-  store.precision_ = tensor::Precision::kInt8;
-  store.num_symptoms_ = checkpoint.symptom_embeddings.rows();
-  store.num_herbs_ = checkpoint.herb_embeddings.rows();
-  store.dim_ = checkpoint.symptom_embeddings.cols();
-  store.has_si_mlp_ = checkpoint.has_si_mlp;
-  const core::MappedArtifact::SectionView symptoms =
-      artifact.symptom_embeddings();
-  const core::MappedArtifact::SectionView herbs = artifact.herb_embeddings();
-  store.symptom_s8_.assign(symptoms.data_s8,
-                           symptoms.data_s8 + symptoms.rows * symptoms.cols);
-  store.symptom_scales_.assign(symptoms.scales,
-                               symptoms.scales + symptoms.rows);
+  tensor::quantize::QuantizedMatrix bipar;
+  if (checkpoint.has_herb_bipar) bipar = CopyS8Section(artifact.herb_bipar());
+  return BuildInt8(checkpoint, CopyS8Section(artifact.symptom_embeddings()),
+                   CopyS8Section(artifact.herb_embeddings()), std::move(bipar));
+}
+
+EmbeddingStore EmbeddingStore::BuildInt8(
+    const core::InferenceCheckpoint& checkpoint,
+    tensor::quantize::QuantizedMatrix symptoms,
+    tensor::quantize::QuantizedMatrix herbs,
+    tensor::quantize::QuantizedMatrix bipar) {
+  EmbeddingStore store(checkpoint, tensor::Precision::kInt8);
+  store.symptom_s8_ = std::move(symptoms.values);
+  store.symptom_scales_ = std::move(symptoms.scales);
   store.symptom_f32_ =
       DequantizeTableF32(store.symptom_s8_, store.symptom_scales_, store.dim_);
-  store.herbs_t_s8_ = TransposeS8(herbs.data_s8, herbs.rows, herbs.cols);
-  store.herb_scales_.assign(herbs.scales, herbs.scales + herbs.rows);
+  // Herb values are re-laid out into the transposed serving layout, where
+  // herb j's scale becomes column j's scale.
+  store.herbs_t_s8_ = TransposeS8(herbs.values.data(), herbs.rows, herbs.cols);
+  store.herb_scales_ = std::move(herbs.scales);
   store.herb_packed_ =
       PackHerbsS8(store.herbs_t_s8_, store.dim_, store.num_herbs_);
   if (store.has_si_mlp_) {
+    // The SI MLP stays f32: only the embedding GEMM is quantized.
     store.si_weight_f32_ = NarrowToF32(checkpoint.si_weight);
     store.si_bias_f32_ = NarrowToF32(checkpoint.si_bias);
   }
-  if (artifact.has_herb_bipar()) {
-    // The attribution component's integers are copied verbatim too — the
-    // row-major on-disk layout is already the layout Attribute reads.
-    const core::MappedArtifact::SectionView bipar = artifact.herb_bipar();
-    store.herb_bipar_s8_.assign(bipar.data_s8,
-                                bipar.data_s8 + bipar.rows * bipar.cols);
-    store.herb_bipar_scales_.assign(bipar.scales, bipar.scales + bipar.rows);
-    store.has_herb_bipar_ = true;
-  }
+  // The attribution component stays row-major: it is read one herb row at
+  // a time, never GEMMed, so no transpose.
+  store.herb_bipar_s8_ = std::move(bipar.values);
+  store.herb_bipar_scales_ = std::move(bipar.scales);
   return store;
 }
 
@@ -290,26 +278,29 @@ void EmbeddingStore::ScoreBatchInto(const std::vector<CanonicalQuery>& batch,
   }
 }
 
-tensor::Matrix EmbeddingStore::ScoreBatchF64(
+tensor::Matrix EmbeddingStore::PoolAndActivateF64(
     const std::vector<CanonicalQuery>& batch) const {
   tensor::Matrix pooled = PoolSymptoms(batch);
-  if (has_si_mlp_) {
-    // ReLU(pooled W + b), eq. 12, applied to the whole batch at once. The
-    // bias row is added per query row (broadcast over the batch).
-    tensor::Matrix hidden = pooled.MatMul(si_weight_);
-    const double* bias = si_bias_.row_data(0);
-    const std::size_t d = dim();
-    for (std::size_t i = 0; i < hidden.rows(); ++i) {
-      double* row = hidden.row_data(i);
-      for (std::size_t c = 0; c < d; ++c) {
-        row[c] += bias[c];
-        if (row[c] < 0.0) row[c] = 0.0;
-      }
+  if (!has_si_mlp_) return pooled;
+  // ReLU(pooled W + b), eq. 12, applied to the whole batch at once. The
+  // bias row is added per query row (broadcast over the batch).
+  tensor::Matrix hidden = pooled.MatMul(si_weight_);
+  const double* bias = si_bias_.row_data(0);
+  const std::size_t d = dim();
+  for (std::size_t i = 0; i < hidden.rows(); ++i) {
+    double* row = hidden.row_data(i);
+    for (std::size_t c = 0; c < d; ++c) {
+      row[c] += bias[c];
+      if (row[c] < 0.0) row[c] = 0.0;
     }
-    pooled = std::move(hidden);
   }
+  return hidden;
+}
+
+tensor::Matrix EmbeddingStore::ScoreBatchF64(
+    const std::vector<CanonicalQuery>& batch) const {
   // One B x d * d x H GEMM scores the whole batch (eq. 13).
-  return BlockedScoresGemm(pooled, herb_embeddings_t_);
+  return BlockedScoresGemm(PoolAndActivateF64(batch), herb_embeddings_t_);
 }
 
 const float* EmbeddingStore::PoolAndActivateF32(
@@ -456,19 +447,9 @@ Result<audit::QueryAttribution> EmbeddingStore::Attribute(
   std::vector<double> act(d);
   std::vector<float> act_f32;
   if (precision_ == tensor::Precision::kFloat64) {
-    tensor::Matrix pooled = PoolSymptoms({query});
-    if (has_si_mlp_) {
-      tensor::Matrix hidden = pooled.MatMul(si_weight_);
-      const double* bias = si_bias_.row_data(0);
-      double* row = hidden.row_data(0);
-      for (std::size_t c = 0; c < d; ++c) {
-        row[c] += bias[c];
-        if (row[c] < 0.0) row[c] = 0.0;
-      }
-      pooled = std::move(hidden);
-    }
-    const double* row = pooled.row_data(0);
-    for (std::size_t c = 0; c < d; ++c) act[c] = row[c];
+    const tensor::Matrix activated = PoolAndActivateF64({query});
+    const double* row = activated.row_data(0);
+    act.assign(row, row + d);
   } else {
     std::vector<float> pooled_scratch;
     std::vector<float> hidden_scratch;

@@ -47,6 +47,7 @@
 #include "src/serve/query.h"
 #include "src/tensor/kernels.h"
 #include "src/tensor/matrix.h"
+#include "src/tensor/quantize.h"
 #include "src/util/status.h"
 
 namespace smgcn {
@@ -123,7 +124,20 @@ class EmbeddingStore {
       const std::vector<std::size_t>& herb_ids) const;
 
  private:
-  EmbeddingStore() = default;
+  /// The shape and flags every precision shares, read off `checkpoint`;
+  /// Build and BuildInt8 fill in the payloads.
+  EmbeddingStore(const core::InferenceCheckpoint& checkpoint,
+                 tensor::Precision precision);
+
+  /// The int8 build step Build (which quantizes the checkpoint) and
+  /// BuildFromArtifact (which copies the stored integers) share: takes the
+  /// per-row quantized symptom, herb and bipar tables (bipar empty when the
+  /// checkpoint has none) and derives the dequantized pooling cache, the
+  /// transposed and pre-packed herb layout and the f32 SI MLP.
+  static EmbeddingStore BuildInt8(const core::InferenceCheckpoint& checkpoint,
+                                  tensor::quantize::QuantizedMatrix symptoms,
+                                  tensor::quantize::QuantizedMatrix herbs,
+                                  tensor::quantize::QuantizedMatrix bipar);
 
   /// Per-precision scoring guts behind ScoreBatchInto. The f64 path returns
   /// the b x H reference matrix; the f32/int8 paths compute the score block
@@ -132,6 +146,10 @@ class EmbeddingStore {
   tensor::Matrix ScoreBatchF64(const std::vector<CanonicalQuery>& batch) const;
   const float* ScoreBatchF32Raw(const std::vector<CanonicalQuery>& batch) const;
   const float* ScoreBatchS8Raw(const std::vector<CanonicalQuery>& batch) const;
+  /// f64 mean-pool + SI MLP (eq. 12): the activation rows (batch x d) the
+  /// reference GEMM and the f64 attribution both start from.
+  tensor::Matrix PoolAndActivateF64(
+      const std::vector<CanonicalQuery>& batch) const;
   /// Shared f32 mean-pool + SI MLP (both reduced-precision paths run the
   /// identical f32 pipeline up to the herb GEMM). Writes into the caller's
   /// scratch (the raw scorers pass their thread_locals; Attribute passes

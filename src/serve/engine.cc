@@ -1,12 +1,7 @@
 #include "src/serve/engine.h"
 
-#include <errno.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <map>
-#include <optional>
 #include <utility>
 
 #include "src/eval/metrics.h"
@@ -61,14 +56,14 @@ void TraceRequestInstant(const std::string& request_id) {
   if (obs::trace::Enabled()) obs::trace::Instant("request/" + request_id);
 }
 
-/// The Response every async outcome starts from: `status` (with its
-/// message on errors), the request's correlation id, and the model/version
-/// of the snapshot the request was bound to.
-Response AsyncResponse(const Status& status, std::string request_id,
+/// An error Response: `status` with its message, the request's
+/// correlation id, and the model/version of the snapshot the request was
+/// bound to.
+Response ErrorResponse(const Status& status, std::string request_id,
                        const ModelSnapshot& snap) {
   Response resp;
   resp.status = FromInternalStatus(status);
-  if (!status.ok()) resp.message = status.message();
+  resp.message = status.message();
   resp.request_id = std::move(request_id);
   resp.model = snap.store.model_name();
   resp.version = snap.version;
@@ -171,10 +166,6 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::CreateFromSnapshot(
   if (options.slow_query_threshold_ms < 0.0) {
     return Status::InvalidArgument("slow_query_threshold_ms must be non-negative");
   }
-  if (options.batcher_nice < 0) {
-    return Status::InvalidArgument(
-        "batcher_nice must be non-negative (raising priority is privileged)");
-  }
   // Pool sizing follows the process-wide smgcn::parallel worker count.
   if (options.num_threads == 0) options.num_threads = parallel::GetNumThreads();
   return std::unique_ptr<ServingEngine>(
@@ -190,15 +181,22 @@ ServingEngine::ServingEngine(std::shared_ptr<const ModelSnapshot> snapshot,
              options.cache_shards, &obs::Registry::Global(),
              obs_prefix_ + "cache."),
       cache_enabled_(options.cache_capacity > 0),
-      stats_(&obs::Registry::Global(), obs_prefix_),
       slow_log_(options.slow_query_threshold_ms / 1e3,
                 options.slow_query_log_capacity, &obs::Registry::Global(),
                 obs_prefix_),
-      submitted_(obs::Registry::Global().GetCounter("serve.submitted")),
+      queries_(obs::Registry::Global().GetCounter(obs_prefix_ + "queries")),
+      latency_(obs::Registry::Global().GetHistogram(obs_prefix_ +
+                                                    "latency.seconds")),
+      batches_(obs::Registry::Global().GetCounter(obs_prefix_ + "batches")),
+      batched_queries_(
+          obs::Registry::Global().GetCounter(obs_prefix_ + "batched_queries")),
+      max_batch_size_(
+          obs::Registry::Global().GetGauge(obs_prefix_ + "max_batch_size")),
       publishes_(obs::Registry::Global().GetCounter(obs_prefix_ + "publishes")),
       shed_(obs::Registry::Global().GetCounter(obs_prefix_ + "shed")),
       deadline_exceeded_(
           obs::Registry::Global().GetCounter(obs_prefix_ + "deadline_exceeded")),
+      submitted_(obs::Registry::Global().GetCounter("serve.submitted")),
       coalesce_span_(obs::Registry::Global().GetHistogram(
           obs::SpanHistogramName("serve.coalesce"))),
       gemm_span_(obs::Registry::Global().GetHistogram(
@@ -210,8 +208,7 @@ ServingEngine::ServingEngine(std::shared_ptr<const ModelSnapshot> snapshot,
           obs::trace::TraceBuffer::Global().InternName("serve.execute_batch")),
       publish_trace_id_(
           obs::trace::TraceBuffer::Global().InternName("serve.publish")),
-      pool_(std::make_unique<ThreadPool>(options.num_threads, "serve.worker",
-                                         options.batcher_nice)) {
+      pool_(std::make_unique<ThreadPool>(options.num_threads, "serve.worker")) {
   // Started in the body so the queue, mutex and condvar the loop touches are
   // fully constructed first.
   batcher_ = std::thread([this] { BatcherLoop(); });
@@ -255,108 +252,134 @@ const EmbeddingStore& ServingEngine::store() const {
   return snapshot_->store;
 }
 
-std::vector<std::vector<double>> ServingEngine::ScoreCanonical(
-    const ModelSnapshot& snap,
-    const std::vector<CanonicalQuery>& queries) const {
-  std::vector<std::vector<double>> out(queries.size());
-  if (queries.empty()) return out;
-  ParallelBlocks(
-      queries.size(), kScoreBlockRows,
-      [this, &snap, &queries, &out](std::size_t begin, std::size_t end) {
-        obs::ScopedSpan gemm_span(gemm_span_, gemm_trace_id_);
-        // ScoreBatchInto writes each query's scores straight into out[i] —
-        // no intermediate b x H matrix, no second row copy. Full-range runs
-        // (the single-worker path) skip the sub-vector copy.
-        if (begin == 0 && end == queries.size()) {
-          snap.store.ScoreBatchInto(queries, out.data());
-        } else {
-          snap.store.ScoreBatchInto(
-              std::vector<CanonicalQuery>(queries.begin() + begin,
-                                          queries.begin() + end),
-              out.data() + begin);
-        }
-      });
-  return out;
-}
-
-std::vector<std::vector<std::size_t>> ServingEngine::RecommendCanonical(
+void ServingEngine::RecommendCanonical(
     const ModelSnapshot& snap, const std::vector<CanonicalQuery>& queries,
-    std::size_t k, std::vector<QueryStages>* stages) const {
-  // Clamp BEFORE the cache: a k beyond the herb catalog means "rank every
-  // herb", and clamping here makes k=H, H+1, H+100... one cache entry (the
-  // cache requires an exact k match) instead of one fragment each.
-  k = std::min(k, snap.store.num_herbs());
+    std::size_t k, Response* out, std::vector<QueryStages>* stages) const {
   if (stages != nullptr) stages->assign(queries.size(), QueryStages{});
-  std::vector<std::vector<std::size_t>> results(queries.size());
-  std::vector<std::size_t> misses;  // indices still needing a GEMM
+  // Rows still needing the GEMM: every query in dense mode, the cache
+  // misses in ranked mode. Salting the key with the snapshot scopes an
+  // entry to its publish: after a swap, old-version entries never match.
+  std::vector<std::size_t> misses;
+  misses.reserve(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    // Salting the key with the snapshot scopes the entry to this publish:
-    // after a swap, old-version entries can never match again.
-    const std::uint64_t key = CombineKey(queries[i].key, snap.salt);
-    if (cache_enabled_ &&
-        cache_.Lookup(key, queries[i].symptom_ids, k, &results[i])) {
+    if (k > 0 && cache_enabled_ &&
+        cache_.Lookup(CombineKey(queries[i].key, snap.salt),
+                      queries[i].symptom_ids, k, &out[i].herb_ids)) {
       if (stages != nullptr) (*stages)[i].cache_hit = true;
       continue;
     }
     misses.push_back(i);
   }
-  if (!misses.empty()) {
-    ParallelBlocks(
-        misses.size(), kScoreBlockRows,
-        [this, &snap, &misses, &queries, &results, stages, k](
-            std::size_t begin, std::size_t end) {
-          obs::ScopedSpan gemm_span(gemm_span_, gemm_trace_id_);
-          std::vector<CanonicalQuery> to_score;
-          to_score.reserve(end - begin);
+  if (misses.empty()) return;
+  ParallelBlocks(
+      misses.size(), kScoreBlockRows,
+      [this, &snap, &misses, &queries, out, stages, k](std::size_t begin,
+                                                       std::size_t end) {
+        obs::ScopedSpan gemm_span(gemm_span_, gemm_trace_id_);
+        // A block spanning every query (one block, no cache hits) scores
+        // `queries` in place; any other block gathers its rows first.
+        std::vector<CanonicalQuery> gathered;
+        if (end - begin < queries.size()) {
+          gathered.reserve(end - begin);
           for (std::size_t m = begin; m < end; ++m) {
-            to_score.push_back(queries[misses[m]]);
+            gathered.push_back(queries[misses[m]]);
           }
-          std::vector<std::vector<double>> block_scores(end - begin);
-          snap.store.ScoreBatchInto(to_score, block_scores.data());
-          const double gemm_seconds = gemm_span.Stop();
-          const auto topk_start = std::chrono::steady_clock::now();
+        }
+        std::vector<std::vector<double>> rows(end - begin);
+        snap.store.ScoreBatchInto(gathered.empty() ? queries : gathered,
+                                  rows.data());
+        const double gemm_seconds = gemm_span.Stop();
+        const auto topk_start = std::chrono::steady_clock::now();
+        for (std::size_t m = begin; m < end; ++m) {
+          Response& resp = out[misses[m]];
+          if (k == 0) {
+            resp.scores = std::move(rows[m - begin]);
+            continue;
+          }
+          resp.herb_ids = eval::TopK(rows[m - begin], k);
+          if (cache_enabled_) {
+            const CanonicalQuery& q = queries[misses[m]];
+            cache_.Insert(CombineKey(q.key, snap.salt), q.symptom_ids, k,
+                          resp.herb_ids);
+          }
+        }
+        if (stages != nullptr) {
+          // Stage shares: block time divided evenly over the block's
+          // queries (rows of one GEMM are not separable). Each write goes
+          // to a distinct index, so blocks never race.
+          const std::size_t block = end - begin;
+          const double topk_share =
+              SecondsSince(topk_start) / static_cast<double>(block);
+          const double gemm_share = gemm_seconds / static_cast<double>(block);
           for (std::size_t m = begin; m < end; ++m) {
-            results[misses[m]] = eval::TopK(block_scores[m - begin], k);
-            if (cache_enabled_) {
-              const CanonicalQuery& q = queries[misses[m]];
-              cache_.Insert(CombineKey(q.key, snap.salt), q.symptom_ids, k,
-                            results[misses[m]]);
-            }
+            QueryStages& s = (*stages)[misses[m]];
+            s.gemm_seconds = gemm_share;
+            s.topk_seconds = topk_share;
+            s.batch_size = block;
           }
-          if (stages != nullptr) {
-            // Stage shares: block time divided evenly over the block's
-            // queries (rows of one GEMM are not separable). Each write goes
-            // to a distinct index, so blocks never race.
-            const std::size_t block = end - begin;
-            const double topk_share =
-                SecondsSince(topk_start) / static_cast<double>(block);
-            const double gemm_share =
-                gemm_seconds / static_cast<double>(block);
-            for (std::size_t m = begin; m < end; ++m) {
-              QueryStages& s = (*stages)[misses[m]];
-              s.gemm_seconds = gemm_share;
-              s.topk_seconds = topk_share;
-              s.batch_size = block;
-            }
-          }
-        });
-    stats_.RecordBatch(misses.size());
-  }
-  return results;
+        }
+      });
+  batches_->Increment();
+  batched_queries_->Increment(misses.size());
+  max_batch_size_->SetToMax(static_cast<double>(misses.size()));
 }
 
-Status ServingEngine::CheckPins(
-    const Request& request,
-    const std::shared_ptr<const ModelSnapshot>& snap) const {
-  if (!request.model.empty() && request.model != snap->store.model_name()) {
+Status ServingEngine::CheckPins(const Request& request,
+                                const ModelSnapshot& snap) const {
+  if (!request.model.empty() && request.model != snap.store.model_name()) {
     return Status::NotFound(StrFormat(
         "model '%s' is not served by this engine (hosting '%s')",
-        request.model.c_str(), snap->store.model_name().c_str()));
+        request.model.c_str(), snap.store.model_name().c_str()));
   }
-  if (!request.version.empty() && request.version != snap->version) {
+  if (!request.version.empty() && request.version != snap.version) {
     return Status::Unavailable(StrFormat(
         "version '%s' is not active (active version is '%s')",
-        request.version.c_str(), snap->version.c_str()));
+        request.version.c_str(), snap.version.c_str()));
+  }
+  return Status::OK();
+}
+
+Status ServingEngine::Admit(const Request& request,
+                            std::shared_ptr<const ModelSnapshot> snapshot,
+                            bool async,
+                            std::chrono::steady_clock::time_point now,
+                            PendingRequest* out) const {
+  // The correlation id exists from admission: every outcome — rejection,
+  // shedding, deadline, success — is attributable to it.
+  out->request_id =
+      request.request_id.empty() ? MintRequestId() : request.request_id;
+  TraceRequestInstant(out->request_id);
+  // Pins are checked against the snapshot the request will be scored on —
+  // no gap for a swap to slip into.
+  out->snapshot = std::move(snapshot);
+  out->enqueue_time = now;
+  out->attribution = request.attribution;
+  if (async && request.top_k == 0) {
+    return Status::InvalidArgument(
+        "dense-score mode (top_k == 0) is synchronous-only; use Handle");
+  }
+  RETURN_IF_ERROR(CheckPins(request, *out->snapshot));
+  // A k beyond the herb catalog means "rank every herb": clamping here
+  // makes k = H, H+1, H+100... one group, one GEMM and one cache entry (the
+  // cache requires an exact k match) instead of one fragment each.
+  out->k = std::min(request.top_k, out->snapshot->store.num_herbs());
+  auto query =
+      Canonicalize(request.symptoms, out->snapshot->store.num_symptoms());
+  // The raw canonicalize message, unprefixed: EngineRecommender::ScoreBatch
+  // adds its "query %zu:" prefix from its own loop index.
+  if (!query.ok()) return query.status();
+  out->query = *std::move(query);
+  if (request.deadline_ms > 0.0) {
+    const auto budget =
+        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+            std::chrono::duration<double, std::milli>(request.deadline_ms));
+    out->deadline = now + budget;
+    // Flush at 80% of the budget: the batcher stops waiting for stragglers
+    // early enough to leave the GEMM headroom to finish in time.
+    out->flush_by = now + (budget / 5) * 4;
+  } else {
+    out->deadline = std::chrono::steady_clock::time_point::max();
+    out->flush_by = out->deadline;
   }
   return Status::OK();
 }
@@ -372,127 +395,26 @@ std::vector<Response> ServingEngine::HandleBatch(
   // single version even if a Publish lands mid-flight.
   const std::shared_ptr<const ModelSnapshot> snap = Snapshot();
   std::vector<Response> out(requests.size());
-  std::vector<CanonicalQuery> canonical(requests.size());
-  std::vector<char> runnable(requests.size(), 0);
+  std::vector<PendingRequest> batch;
+  batch.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    Response& resp = out[i];
-    resp.model = snap->store.model_name();
-    resp.version = snap->version;
-    // Every admitted request carries a correlation id from here on —
-    // client-supplied or minted — echoed even on per-request errors.
-    resp.request_id = requests[i].request_id.empty()
-                          ? MintRequestId()
-                          : requests[i].request_id;
-    TraceRequestInstant(resp.request_id);
-    const Status pins = CheckPins(requests[i], snap);
-    if (!pins.ok()) {
-      resp.status = FromInternalStatus(pins);
-      resp.message = pins.message();
+    PendingRequest request;
+    const Status admitted =
+        Admit(requests[i], snap, /*async=*/false, start, &request);
+    if (!admitted.ok()) {
+      out[i] = ErrorResponse(admitted, std::move(request.request_id), *snap);
       continue;
     }
-    auto query = Canonicalize(requests[i].symptoms, snap->store.num_symptoms());
-    if (!query.ok()) {
-      // The raw canonicalize message, unprefixed: per-request errors are
-      // already index-aligned (EngineRecommender::ScoreBatch adds its
-      // "query %zu:" prefix from its own loop index).
-      resp.status = StatusCode::kInvalidArgument;
-      resp.message = query.status().message();
-      continue;
-    }
-    canonical[i] = *std::move(query);
-    runnable[i] = 1;
+    Response* slot = &out[i];
+    request.deliver = [slot](Response response) {
+      *slot = std::move(response);
+    };
+    batch.push_back(std::move(request));
   }
-
-  // Group what survived validation: every dense request shares one fused
-  // GEMM; ranked requests share one GEMM + cache pass per distinct k.
-  std::vector<std::size_t> dense;
-  std::map<std::size_t, std::vector<std::size_t>> ranked;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (!runnable[i]) continue;
-    if (requests[i].top_k == 0) {
-      dense.push_back(i);
-    } else {
-      ranked[requests[i].top_k].push_back(i);
-    }
-  }
-
-  std::size_t answered = 0;
-  if (!dense.empty()) {
-    // Dense requests need their canonical query only for this GEMM.
-    std::vector<CanonicalQuery> queries;
-    queries.reserve(dense.size());
-    for (const std::size_t i : dense) {
-      queries.push_back(std::move(canonical[i]));
-    }
-    auto rows = ScoreCanonical(*snap, queries);
-    for (std::size_t j = 0; j < dense.size(); ++j) {
-      out[dense[j]].scores = std::move(rows[j]);
-    }
-    stats_.RecordBatch(dense.size());
-    answered += dense.size();
-  }
-  // (request index, stages) pairs deferred until total latency is known —
-  // the slow-query threshold applies to wall time, not per-stage time.
-  std::vector<std::pair<std::size_t, QueryStages>> slow_candidates;
-  for (auto& group : ranked) {
-    const std::vector<std::size_t>& idx = group.second;
-    std::vector<CanonicalQuery> queries;
-    queries.reserve(idx.size());
-    for (const std::size_t i : idx) queries.push_back(canonical[i]);
-    std::vector<QueryStages> stages;
-    auto results = RecommendCanonical(*snap, queries, group.first,
-                                      slow_log_.enabled() ? &stages : nullptr);
-    for (std::size_t j = 0; j < idx.size(); ++j) {
-      out[idx[j]].herb_ids = std::move(results[j]);
-      if (requests[idx[j]].attribution && !out[idx[j]].herb_ids.empty()) {
-        // Opt-in score decomposition over the ranked ids. Ids were
-        // validated above, so Attribute can only succeed here; the ok()
-        // guard keeps an attribution failure from failing the request.
-        auto attribution =
-            snap->store.Attribute(canonical[idx[j]], out[idx[j]].herb_ids);
-        if (attribution.ok()) {
-          out[idx[j]].attribution = *std::move(attribution);
-        }
-      }
-      if (slow_log_.enabled()) slow_candidates.emplace_back(idx[j], stages[j]);
-    }
-    answered += idx.size();
-  }
-  const double latency = SecondsSince(start);
-  stats_.RecordQueries(answered, latency);
-  if (slow_log_.enabled() && latency >= slow_log_.threshold_seconds()) {
-    for (const auto& candidate : slow_candidates) {
-      SlowQueryRecord record;
-      record.symptom_ids = canonical[candidate.first].symptom_ids;
-      record.key = canonical[candidate.first].key;
-      record.k = requests[candidate.first].top_k;
-      record.total_seconds = latency;
-      record.gemm_seconds = candidate.second.gemm_seconds;
-      record.topk_seconds = candidate.second.topk_seconds;
-      record.cache_hit = candidate.second.cache_hit;
-      record.batch_size = candidate.second.batch_size;
-      record.request_id = out[candidate.first].request_id;
-      record.model = snap->store.model_name();
-      record.model_version = snap->version;
-      slow_log_.Record(std::move(record));
-    }
-  }
-  // Deadline post-check: never return kOk after the request's budget. The
-  // payload is dropped too — a late answer must not look usable.
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    if (requests[i].deadline_ms <= 0.0 || !out[i].ok()) continue;
-    const double elapsed_ms = SecondsSince(start) * 1e3;
-    if (elapsed_ms > requests[i].deadline_ms) {
-      deadline_exceeded_->Increment();
-      out[i].status = StatusCode::kDeadlineExceeded;
-      out[i].message =
-          StrFormat("deadline of %.3f ms exceeded (answered after %.3f ms)",
-                    requests[i].deadline_ms, elapsed_ms);
-      out[i].herb_ids.clear();
-      out[i].scores.clear();
-      out[i].attribution.reset();
-    }
-  }
+  // The micro-batcher's executor, run inline: no queue and no pool hop.
+  // Execution is stamped at the admission instant, so the slow log's queue
+  // and coalesce stages read exactly 0 for synchronous requests.
+  if (!batch.empty()) ExecuteBatch(std::move(batch), 0.0, start);
   return out;
 }
 
@@ -508,50 +430,18 @@ std::future<Response> ServingEngine::SubmitRequest(Request request) {
 void ServingEngine::SubmitRequest(Request incoming,
                                   std::function<void(Response)> done) {
   submitted_->Increment();
-  PendingRequest request;
-  request.enqueue_time = std::chrono::steady_clock::now();
   // Bind the request to the version active at admission; the batch executor
-  // scores it on this snapshot even if a Publish lands first. Pins are
-  // checked against this same snapshot — no gap for a swap to slip into.
-  request.snapshot = Snapshot();
-  // The correlation id exists from admission: every outcome below —
-  // rejection, shedding, deadline, success — is attributable to it.
-  request.request_id = incoming.request_id.empty()
-                           ? MintRequestId()
-                           : std::move(incoming.request_id);
-  request.attribution = incoming.attribution;
+  // scores it on this snapshot even if a Publish lands first.
+  PendingRequest request;
+  const Status admitted = Admit(incoming, Snapshot(), /*async=*/true,
+                                std::chrono::steady_clock::now(), &request);
   request.deliver = std::move(done);
-  TraceRequestInstant(request.request_id);
   // Answers a request rejected at admission, before SubmitRequest returns.
   const auto reject = [&request](const Status& status) {
-    request.deliver(AsyncResponse(status, std::move(request.request_id),
+    request.deliver(ErrorResponse(status, std::move(request.request_id),
                                   *request.snapshot));
   };
-  if (incoming.top_k == 0) {
-    return reject(Status::InvalidArgument(
-        "dense-score mode (top_k == 0) is synchronous-only; use Handle"));
-  }
-  const Status pins = CheckPins(incoming, request.snapshot);
-  if (!pins.ok()) return reject(pins);
-  // Clamp over-catalog ks at admission so they micro-batch into one
-  // (snapshot, k) group; RecommendCanonical clamps again for the sync path.
-  request.k = std::min(incoming.top_k, request.snapshot->store.num_herbs());
-  auto query = Canonicalize(incoming.symptoms,
-                            request.snapshot->store.num_symptoms());
-  if (!query.ok()) return reject(query.status());
-  request.query = *std::move(query);
-  if (incoming.deadline_ms > 0.0) {
-    const auto budget =
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(incoming.deadline_ms));
-    request.deadline = request.enqueue_time + budget;
-    // Flush at 80% of the budget: the batcher stops waiting for stragglers
-    // early enough to leave the GEMM headroom to finish in time.
-    request.flush_by = request.enqueue_time + (budget / 5) * 4;
-  } else {
-    request.deadline = std::chrono::steady_clock::time_point::max();
-    request.flush_by = request.deadline;
-  }
+  if (!admitted.ok()) return reject(admitted);
 
   bool shut_down = false;
   bool shed = false;
@@ -583,13 +473,6 @@ void ServingEngine::SubmitRequest(Request incoming,
 
 void ServingEngine::BatcherLoop() {
   obs::trace::SetCurrentThreadName(obs_prefix_ + "batcher");
-  if (options_.batcher_nice > 0) {
-    // glibc nice() maps to setpriority(PRIO_PROCESS, 0, ...), which on
-    // Linux/NPTL adjusts only the calling thread — exactly what we want:
-    // scoring defers to the I/O and admission threads under saturation.
-    errno = 0;
-    (void)::nice(options_.batcher_nice);
-  }
   const auto max_wait = std::chrono::duration_cast<
       std::chrono::steady_clock::duration>(
       std::chrono::duration<double, std::milli>(options_.max_wait_ms));
@@ -643,7 +526,8 @@ void ServingEngine::BatcherLoop() {
     // batch while this one runs.
     auto shared = std::make_shared<std::vector<PendingRequest>>(std::move(batch));
     pool_->Submit([this, shared, coalesce_seconds] {
-      ExecuteBatch(std::move(*shared), coalesce_seconds);
+      ExecuteBatch(std::move(*shared), coalesce_seconds,
+                   std::chrono::steady_clock::now());
       {
         std::lock_guard<std::mutex> guard(queue_mu_);
         --batches_in_flight_;
@@ -654,10 +538,11 @@ void ServingEngine::BatcherLoop() {
   }
 }
 
-void ServingEngine::ExecuteBatch(std::vector<PendingRequest> batch,
-                                 double coalesce_seconds) const {
+void ServingEngine::ExecuteBatch(
+    std::vector<PendingRequest> batch, double coalesce_seconds,
+    std::chrono::steady_clock::time_point execute_start) const {
   obs::ScopedSpan execute_span(execute_span_, execute_trace_id_);
-  const auto execute_start = std::chrono::steady_clock::now();
+  constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
   // Sweep requests whose budget already expired: scoring them would burn
   // GEMM time on answers nobody can use. They are answered (promptly) with
   // DeadlineExceeded instead of being dropped on the floor.
@@ -665,10 +550,10 @@ void ServingEngine::ExecuteBatch(std::vector<PendingRequest> batch,
     std::size_t live = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       PendingRequest& request = batch[i];
-      if (request.deadline != std::chrono::steady_clock::time_point::max() &&
+      if (request.deadline != kNoDeadline &&
           execute_start >= request.deadline) {
         deadline_exceeded_->Increment();
-        request.deliver(AsyncResponse(
+        request.deliver(ErrorResponse(
             Status::DeadlineExceeded(StrFormat(
                 "deadline expired before scoring (queued %.3f ms)",
                 std::chrono::duration<double, std::milli>(
@@ -682,10 +567,9 @@ void ServingEngine::ExecuteBatch(std::vector<PendingRequest> batch,
     }
     batch.resize(live);
   }
-  if (batch.empty()) return;
-  // Requests in one micro-batch may ask for different k or — across a hot
-  // swap — be bound to different snapshots; group by (snapshot, k) so each
-  // group shares one GEMM + cache pass on its own version.
+  // Requests in one batch may ask for different k (0 is dense mode) or —
+  // across a hot swap — be bound to different snapshots; group by
+  // (snapshot, k) so each group shares one scoring pass on its own version.
   std::vector<std::size_t> order(batch.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
@@ -705,25 +589,32 @@ void ServingEngine::ExecuteBatch(std::vector<PendingRequest> batch,
       ++end;
     }
     const ModelSnapshot& snap = *batch[order[begin]].snapshot;
+    const std::size_t k = batch[order[begin]].k;
+    // The group's queries move into the scorer's input; the per-request
+    // steps below read them back from there.
     std::vector<CanonicalQuery> queries;
     queries.reserve(end - begin);
     for (std::size_t i = begin; i < end; ++i) {
-      queries.push_back(batch[order[i]].query);
+      queries.push_back(std::move(batch[order[i]].query));
     }
+    std::vector<Response> responses(queries.size());
     std::vector<QueryStages> stages;
-    auto results = RecommendCanonical(snap, queries, batch[order[begin]].k,
-                                      slow_log_.enabled() ? &stages : nullptr);
-    for (std::size_t i = begin; i < end; ++i) {
-      PendingRequest& request = batch[order[i]];
+    RecommendCanonical(snap, queries, k, responses.data(),
+                       slow_log_.enabled() ? &stages : nullptr);
+    for (std::size_t j = 0; j < queries.size(); ++j) {
+      PendingRequest& request = batch[order[begin + j]];
+      Response& resp = responses[j];
       const double total_seconds = SecondsSince(request.enqueue_time);
-      stats_.RecordQuery(total_seconds);
-      if (slow_log_.enabled() &&
+      latency_->Record(total_seconds);
+      queries_->Increment();
+      // Ranked requests only: a dense row has no top-k stage to break down.
+      if (k > 0 && slow_log_.enabled() &&
           total_seconds >= slow_log_.threshold_seconds()) {
-        const QueryStages& s = stages[i - begin];
+        const QueryStages& s = stages[j];
         SlowQueryRecord record;
-        record.symptom_ids = request.query.symptom_ids;
-        record.key = request.query.key;
-        record.k = request.k;
+        record.symptom_ids = queries[j].symptom_ids;
+        record.key = queries[j].key;
+        record.k = k;
         record.total_seconds = total_seconds;
         record.queue_seconds = std::chrono::duration<double>(
                                    execute_start - request.enqueue_time)
@@ -741,29 +632,28 @@ void ServingEngine::ExecuteBatch(std::vector<PendingRequest> batch,
       // Attribution recomputes the query through the store's own scoring
       // path (bit-identical by row independence), so computing it here —
       // after the batched GEMM — decomposes exactly the scores just served.
-      std::optional<audit::QueryAttribution> attribution;
-      if (request.attribution && !results[i - begin].empty()) {
-        auto attributed = snap.store.Attribute(request.query,
-                                               results[i - begin]);
-        if (attributed.ok()) attribution = *std::move(attributed);
+      // Ids were validated at admission, so Attribute can only succeed; the
+      // ok() guard keeps an attribution failure from failing the request.
+      if (request.attribution && !resp.herb_ids.empty()) {
+        auto attributed = snap.store.Attribute(queries[j], resp.herb_ids);
+        if (attributed.ok()) resp.attribution = *std::move(attributed);
       }
       // Deadline post-check at delivery: a request that was feasible at
       // sweep time may still have blown its budget inside the GEMM; it
-      // must never resolve kOk after its deadline.
-      if (request.deadline != std::chrono::steady_clock::time_point::max() &&
+      // must never resolve kOk after its deadline, nor carry a payload.
+      if (request.deadline != kNoDeadline &&
           std::chrono::steady_clock::now() >= request.deadline) {
         deadline_exceeded_->Increment();
-        request.deliver(AsyncResponse(
+        request.deliver(ErrorResponse(
             Status::DeadlineExceeded(
                 StrFormat("deadline exceeded (answered after %.3f ms)",
                           total_seconds * 1e3)),
             std::move(request.request_id), snap));
         continue;
       }
-      Response resp =
-          AsyncResponse(Status::OK(), std::move(request.request_id), snap);
-      resp.herb_ids = std::move(results[i - begin]);
-      resp.attribution = std::move(attribution);
+      resp.request_id = std::move(request.request_id);
+      resp.model = snap.store.model_name();
+      resp.version = snap.version;
       request.deliver(std::move(resp));
     }
     begin = end;

@@ -1,24 +1,31 @@
 // ServingEngine: high-throughput serving on top of an InferenceCheckpoint.
 //
 // The engine has one serving surface, the serve::Request / serve::Response
-// pair (src/serve/request.h), shared verbatim with the wire protocol:
-//   * Handle / HandleBatch — synchronous: canonicalize every request,
-//     serve cache hits, score the rest as ONE batched GEMM. top_k >= 1
+// pair (src/serve/request.h), shared verbatim with the wire protocol, and
+// one way to run it. Every request passes the same admission step (mint or
+// keep the correlation id, check the model/version pins, clamp k to the
+// herb catalog, canonicalize the symptoms, set the deadline) and is scored
+// by the same batch executor (group by snapshot and k; per group a cache
+// lookaside, one GEMM over the misses, then top-k or dense rows). The entry
+// points differ only in how a batch reaches that executor:
+//   * Handle / HandleBatch — synchronous: the caller's requests form one
+//     batch, executed on the calling thread against one snapshot. top_k >= 1
 //     returns ranked herb ids; top_k == 0 returns dense scores.
 //   * SubmitRequest — asynchronous (ranked mode only): returns a
 //     std::future<Response> immediately, or hands the Response to a
 //     callback (the network front-end's form); a micro-batcher coalesces
 //     queued requests (up to max_batch_size, waiting at most max_wait_ms for
 //     stragglers — or less when a request's deadline demands it) into one
-//     GEMM executed on the shared ThreadPool. Admission is bounded: with
+//     batch executed on the shared ThreadPool. Admission is bounded: with
 //     max_queue_depth > 0 a full queue load-sheds new requests with
 //     kShedding instead of queueing unboundedly.
 //
 // Deadlines: a request with deadline_ms > 0 is answered kOk only if
-// scoring finished within its budget. The batcher flushes a pending batch
-// early (at ~80% of the tightest queued budget) so feasible deadlines are
-// met; requests whose budget expired before scoring began are answered
-// kDeadlineExceeded without being scored.
+// scoring finished within its budget, counted from admission. The batcher
+// flushes a pending batch early (at ~80% of the tightest queued budget) so
+// feasible deadlines are met; a request whose budget expired before its
+// batch started is answered kDeadlineExceeded without being scored, and one
+// that ran out during scoring is answered kDeadlineExceeded with no payload.
 //
 // Metrics live in the smgcn::obs registry under the engine's own scope
 // (obs_prefix()); there is no separate stats view to keep in sync.
@@ -54,12 +61,12 @@
 
 #include "src/core/checkpoint.h"
 #include "src/core/recommender.h"
+#include "src/obs/metrics.h"
 #include "src/serve/cache.h"
 #include "src/serve/embedding_store.h"
 #include "src/serve/query.h"
 #include "src/serve/request.h"
 #include "src/serve/slow_log.h"
-#include "src/serve/stats.h"
 #include "src/util/status.h"
 #include "src/util/thread_pool.h"
 
@@ -108,24 +115,27 @@ Result<std::shared_ptr<const ModelSnapshot>> MakeModelSnapshotFromArtifact(
     const core::MappedArtifact& artifact, std::string version);
 
 struct ServingEngineOptions {
-  /// Upper bound on queries fused into one GEMM by the micro-batcher (and
-  /// a validation bound for the synchronous batch API: 0 is invalid).
+  /// Upper bound on queued requests the micro-batcher cuts into one batch
+  /// (must be positive). HandleBatch is not split: its batch is whatever
+  /// the caller passes.
   std::size_t max_batch_size = 64;
   /// How long the micro-batcher holds an incomplete batch hoping for more
   /// queries before flushing it anyway.
   double max_wait_ms = 0.2;
-  /// Worker threads executing micro-batches. 0 (the default) sizes the pool
-  /// from the process-wide smgcn::parallel configuration
-  /// (parallel::GetNumThreads()); parallel::SetNumThreads is the knob to
-  /// turn. See docs/API_TOUR.md §Parallelism.
+  /// Worker threads executing micro-batches and helping with every batch's
+  /// GEMM blocks (HandleBatch's caller thread claims blocks too). 0 (the
+  /// default) sizes the pool from the process-wide smgcn::parallel
+  /// configuration (parallel::GetNumThreads()); parallel::SetNumThreads is
+  /// the knob to turn. See docs/API_TOUR.md §Parallelism.
   std::size_t num_threads = 0;
   /// Total top-k cache entries; 0 disables caching entirely.
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 8;
   /// Latency threshold for the slow-query log in milliseconds: ranked
   /// requests at or above it are recorded with a per-stage breakdown (queue
-  /// → coalesce → GEMM → top-k); see slow_query_log(). 0 (the default)
-  /// disables the log.
+  /// → coalesce → GEMM → top-k; queue and coalesce are 0 for HandleBatch)
+  /// and the clamped k; see slow_query_log(). 0 (the default) disables the
+  /// log.
   double slow_query_threshold_ms = 0.0;
   /// Retained slow-query entries (bounded ring, oldest evicted); the
   /// eviction-independent count lives in `<obs_prefix>slow_queries`.
@@ -137,15 +147,6 @@ struct ServingEngineOptions {
   /// disables shedding; network front-ends should set it (net::Server
   /// defaults it to 256).
   std::size_t max_queue_depth = 0;
-  /// When > 0, the batcher thread and its scoring workers lower their own
-  /// CPU priority by this many nice levels (Linux: per-thread). With
-  /// scoring saturating the host,
-  /// this keeps I/O and admission threads responsive, so overload shows up
-  /// at the bounded admission queue (kShedding, visible and immediate)
-  /// rather than as requests aging in kernel socket buffers that admission
-  /// control cannot see. 0 leaves scheduling alone. Raising priority is a
-  /// privileged operation, so negative values are invalid.
-  int batcher_nice = 0;
   /// Semantic version assigned to the checkpoint passed to Create() (the
   /// snapshot-based factory carries its own version).
   std::string initial_version = "v1";
@@ -206,9 +207,11 @@ class ServingEngine {
   /// answer was ready.
   Response Handle(const Request& request) const;
 
-  /// Answers a batch synchronously: valid same-shaped requests are fused
-  /// into shared GEMMs (grouped by top_k), invalid ones get their own
-  /// error Response. Responses align with `requests` by index.
+  /// Answers a batch synchronously on the calling thread: every request is
+  /// admitted against one snapshot, then the admitted ones run through the
+  /// micro-batcher's executor as one batch (one GEMM per distinct clamped
+  /// k, plus one for dense mode); rejected ones get their own error
+  /// Response. Responses align with `requests` by index.
   std::vector<Response> HandleBatch(const std::vector<Request>& requests) const;
 
   /// Enqueues a ranked request (top_k >= 1; dense mode is sync-only) for
@@ -233,10 +236,11 @@ class ServingEngine {
   void Shutdown();
 
   /// Scope this engine's instruments occupy in obs::Registry::Global(),
-  /// e.g. "serve.engine0.": queries, batches, batched_queries,
-  /// max_batch_size and latency.seconds (see StatsRecorder), publishes,
-  /// shed, deadline_exceeded, slow_queries, and the cache's under
-  /// "<prefix>cache.".
+  /// e.g. "serve.engine0.": queries (answered after scoring),
+  /// latency.seconds (admission to answer), batches and batched_queries
+  /// (one per scored group and its GEMM rows), max_batch_size (gauge),
+  /// publishes, shed, deadline_exceeded, slow_queries, and the cache's
+  /// under "<prefix>cache.".
   const std::string& obs_prefix() const { return obs_prefix_; }
 
   /// The slow-query log (disabled unless slow_query_threshold_ms > 0).
@@ -249,18 +253,23 @@ class ServingEngine {
   const ServingEngineOptions& options() const { return options_; }
 
  private:
+  /// An admitted request on its way through the executor — queued by
+  /// SubmitRequest, or held by HandleBatch for the length of the call.
   struct PendingRequest {
     CanonicalQuery query;
+    /// top_k clamped to the herb catalog; 0 is dense mode (HandleBatch
+    /// only).
     std::size_t k = 0;
     /// Correlation id: Request::request_id or engine-minted at admission.
     std::string request_id;
     /// Whether to attach the score attribution to the answer.
     bool attribution = false;
     /// The version this request was admitted under; ExecuteBatch scores it
-    /// there, so async responses are attributable to exactly one publish.
+    /// there, so every response is attributable to exactly one publish.
     std::shared_ptr<const ModelSnapshot> snapshot;
     /// Receives the answer exactly once, never under queue_mu_.
     std::function<void(Response)> deliver;
+    /// Admission time: latency, queue time and the deadline count from it.
     std::chrono::steady_clock::time_point enqueue_time;
     /// Absolute deadline (computed from Request::deadline_ms at
     /// admission); time_point::max() when the request has none.
@@ -291,36 +300,44 @@ class ServingEngine {
     std::size_t batch_size = 1;
   };
 
-  /// Top-k for pre-canonicalized queries against one pinned snapshot:
-  /// cache lookaside (keys salted with the snapshot) + one GEMM for the
-  /// misses. Used by both the sync batch path and the micro-batcher.
-  /// `stages`, when non-null, is resized to queries.size() and filled with
-  /// per-query attribution (only worth the timing cost when the slow-query
-  /// log is enabled).
-  std::vector<std::vector<std::size_t>> RecommendCanonical(
-      const ModelSnapshot& snap, const std::vector<CanonicalQuery>& queries,
-      std::size_t k, std::vector<QueryStages>* stages = nullptr) const;
+  /// The admission step every entry point shares. Mints the correlation id
+  /// (or keeps the client's) and marks it on the trace, binds `snapshot`,
+  /// rejects dense mode when `async`, checks the model/version pins, clamps
+  /// k to the catalog, canonicalizes the symptoms, and sets the deadline
+  /// and flush point from `now`. request_id and snapshot are set on every
+  /// outcome, so a rejection is attributable too. Returns OK when the
+  /// request may be scored, else the status to answer it with.
+  Status Admit(const Request& request,
+               std::shared_ptr<const ModelSnapshot> snapshot, bool async,
+               std::chrono::steady_clock::time_point now,
+               PendingRequest* out) const;
 
-  /// Dense scores for pre-canonicalized queries against one pinned
-  /// snapshot: one fused GEMM, rows in query order. The dense half of what
-  /// RecommendCanonical is to ranked mode.
-  std::vector<std::vector<double>> ScoreCanonical(
-      const ModelSnapshot& snap,
-      const std::vector<CanonicalQuery>& queries) const;
+  /// Scores one group of canonical queries that share a snapshot and k:
+  /// cache lookaside in ranked mode (keys salted with the snapshot), one
+  /// ParallelBlocks GEMM over the rest, then top-k + cache insert (k >= 1)
+  /// or the dense score rows moved out (k == 0). Query i's payload lands
+  /// in out[i].herb_ids or out[i].scores; counts one `batches` per call
+  /// that scored anything. `stages`, when non-null, is resized to
+  /// queries.size() and filled with per-query attribution (only worth the
+  /// timing cost when the slow-query log is enabled).
+  void RecommendCanonical(const ModelSnapshot& snap,
+                          const std::vector<CanonicalQuery>& queries,
+                          std::size_t k, Response* out,
+                          std::vector<QueryStages>* stages) const;
 
-  /// Routing guard shared by every Request entry point: non-empty
-  /// request.model / request.version must match the active snapshot.
-  /// Returns OK and sets `snap` when the request may be served.
-  Status CheckPins(const Request& request,
-                   const std::shared_ptr<const ModelSnapshot>& snap) const;
+  /// Routing guard: non-empty request.model / request.version must match
+  /// `snap`.
+  Status CheckPins(const Request& request, const ModelSnapshot& snap) const;
 
   void BatcherLoop();
-  /// Scores one coalesced batch and delivers its Responses. Requests are
-  /// grouped by (snapshot, k); each group shares one GEMM + cache pass.
-  /// `coalesce_seconds` is how long the batch's oldest request waited for
-  /// the batch to be cut (attributed to every query in the batch).
-  void ExecuteBatch(std::vector<PendingRequest> batch,
-                    double coalesce_seconds) const;
+  /// The one batch executor. Sweeps requests whose deadline passed before
+  /// `execute_start`, groups the rest by (snapshot, k) — one
+  /// RecommendCanonical pass each — and delivers every Response with its
+  /// latency, slow-log record, optional attribution and deadline
+  /// post-check. `coalesce_seconds` is how long the batch's oldest request
+  /// waited for the batch to be cut (attributed to every query in it).
+  void ExecuteBatch(std::vector<PendingRequest> batch, double coalesce_seconds,
+                    std::chrono::steady_clock::time_point execute_start) const;
 
   /// The active snapshot, guarded by snapshot_mu_ (held only to copy the
   /// pointer — scoring never runs under it).
@@ -328,17 +345,21 @@ class ServingEngine {
   mutable std::mutex snapshot_mu_;
 
   ServingEngineOptions options_;
-  std::string obs_prefix_;  // initialised before cache_ and stats_
+  std::string obs_prefix_;  // initialised before cache_ and the instruments
   mutable ShardedTopKCache cache_;
   bool cache_enabled_ = false;
-  mutable StatsRecorder stats_;
   mutable SlowQueryLog slow_log_;
-  // Span sinks on the submit → coalesce → GEMM path, shared across engines
-  // (process-wide histograms; resolved once here so spans are cheap).
-  obs::Counter* submitted_;        // serve.submitted
+  obs::Counter* queries_;          // <prefix>queries
+  obs::Histogram* latency_;        // <prefix>latency.seconds
+  obs::Counter* batches_;          // <prefix>batches — one per scored group
+  obs::Counter* batched_queries_;  // <prefix>batched_queries — GEMM rows
+  obs::Gauge* max_batch_size_;     // <prefix>max_batch_size (atomic max)
   obs::Counter* publishes_;        // <prefix>publishes
   obs::Counter* shed_;             // <prefix>shed — queue-full rejections
   obs::Counter* deadline_exceeded_;  // <prefix>deadline_exceeded
+  // Span sinks on the submit → coalesce → GEMM path, shared across engines
+  // (process-wide; resolved once here so spans are cheap).
+  obs::Counter* submitted_;        // serve.submitted
   obs::Histogram* coalesce_span_;  // span.serve.coalesce.seconds
   obs::Histogram* gemm_span_;      // span.serve.gemm.seconds
   obs::Histogram* execute_span_;   // span.serve.execute_batch.seconds

@@ -28,7 +28,7 @@ namespace serve {
 struct SlowQueryRecord {
   std::vector<int> symptom_ids;  // canonical (sorted, deduplicated)
   std::uint64_t key = 0;         // canonical query key
-  std::size_t k = 0;             // requested top-k
+  std::size_t k = 0;             // top-k as scored (clamped to catalog)
   double total_seconds = 0.0;
   double queue_seconds = 0.0;     // Submit → execution start (async only)
   double coalesce_seconds = 0.0;  // micro-batch forming window (async only)

@@ -1,30 +1,20 @@
 #include "src/util/thread_pool.h"
 
-#include <errno.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <string>
 
 #include "src/obs/trace.h"
 
 namespace smgcn {
 
-ThreadPool::ThreadPool(std::size_t num_threads, std::string thread_name_prefix,
-                       int nice_increment) {
+ThreadPool::ThreadPool(std::size_t num_threads,
+                       std::string thread_name_prefix) {
   if (num_threads == 0) num_threads = 1;
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i, thread_name_prefix, nice_increment] {
+    workers_.emplace_back([this, i, thread_name_prefix] {
       if (!thread_name_prefix.empty()) {
         obs::trace::SetCurrentThreadName(thread_name_prefix +
                                          std::to_string(i));
-      }
-      if (nice_increment > 0) {
-        // glibc nice() maps to setpriority(PRIO_PROCESS, 0, ...), which on
-        // Linux/NPTL adjusts only the calling thread.
-        errno = 0;
-        (void)::nice(nice_increment);
       }
       WorkerLoop();
     });
@@ -52,24 +42,6 @@ void ThreadPool::Submit(std::function<void()> task) {
 void ThreadPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::ParallelFor(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  // Chunk indices over workers to amortise queue overhead.
-  const std::size_t chunks = std::min(n, workers_.size() * 4);
-  std::atomic<std::size_t> next{0};
-  for (std::size_t c = 0; c < chunks; ++c) {
-    Submit([&next, n, &fn] {
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        fn(i);
-      }
-    });
-  }
-  Wait();
 }
 
 void ThreadPool::WorkerLoop() {

@@ -1,5 +1,5 @@
-// Fixed-size thread pool used to parallelise embarrassingly parallel work
-// (evaluation over test prescriptions, grid-search cells).
+// Fixed-size FIFO thread pool: the workers behind parallel::ParallelFor
+// and the serving engine's micro-batch executor.
 #ifndef SMGCN_UTIL_THREAD_POOL_H_
 #define SMGCN_UTIL_THREAD_POOL_H_
 
@@ -21,12 +21,8 @@ class ThreadPool {
   /// Spawns `num_threads` workers (at least one). A non-empty
   /// `thread_name_prefix` registers each worker with the trace buffer as
   /// "<prefix><index>" so pool threads are labelled in exported timelines.
-  /// `nice_increment` > 0 lowers each worker's CPU priority by that many
-  /// nice levels (Linux: per-thread), letting latency-critical threads
-  /// preempt pool work when the host is saturated.
   explicit ThreadPool(std::size_t num_threads,
-                      std::string thread_name_prefix = {},
-                      int nice_increment = 0);
+                      std::string thread_name_prefix = {});
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -39,9 +35,6 @@ class ThreadPool {
   void Wait();
 
   std::size_t num_threads() const { return workers_.size(); }
-
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:
   void WorkerLoop();

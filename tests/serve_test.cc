@@ -327,6 +327,18 @@ TEST(EmbeddingStoreTest, Int8BuildFromArtifactServesStoredIntegers) {
 // Cache
 // --------------------------------------------------------------------------
 
+// The cache's registry instruments under its obs_prefix(), e.g. "hits".
+std::uint64_t CacheCounter(const ShardedTopKCache& cache,
+                           const std::string& name) {
+  return obs::Registry::Global()
+      .GetCounter(cache.obs_prefix() + name)
+      ->value();
+}
+
+double CacheGauge(const ShardedTopKCache& cache, const std::string& name) {
+  return obs::Registry::Global().GetGauge(cache.obs_prefix() + name)->value();
+}
+
 TEST(CacheTest, MissThenHit) {
   ShardedTopKCache cache(16, 4);
   const std::vector<int> ids{1, 3};
@@ -335,11 +347,13 @@ TEST(CacheTest, MissThenHit) {
   cache.Insert(42, ids, 5, {7, 8, 9});
   ASSERT_TRUE(cache.Lookup(42, ids, 5, &out));
   EXPECT_EQ(out, (std::vector<std::size_t>{7, 8, 9}));
-  const CacheStats stats = cache.Stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.size, 1u);
-  EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
+  const std::uint64_t hits = CacheCounter(cache, "hits");
+  const std::uint64_t misses = CacheCounter(cache, "misses");
+  EXPECT_EQ(hits, 1u);
+  EXPECT_EQ(misses, 1u);
+  EXPECT_EQ(CacheGauge(cache, "size"), 1.0);
+  EXPECT_DOUBLE_EQ(
+      static_cast<double>(hits) / static_cast<double>(hits + misses), 0.5);
 }
 
 TEST(CacheTest, DifferentKIsAMiss) {
@@ -368,7 +382,7 @@ TEST(CacheTest, EvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.Lookup(1, {1}, 5, &out));
   EXPECT_FALSE(cache.Lookup(2, {2}, 5, &out));
   EXPECT_TRUE(cache.Lookup(3, {3}, 5, &out));
-  EXPECT_EQ(cache.Stats().evictions, 1u);
+  EXPECT_EQ(CacheCounter(cache, "evictions"), 1u);
 }
 
 TEST(CacheTest, ClearDropsEntriesKeepsCounters) {
@@ -378,24 +392,22 @@ TEST(CacheTest, ClearDropsEntriesKeepsCounters) {
   ASSERT_TRUE(cache.Lookup(1, {1}, 5, &out));
   cache.Clear();
   EXPECT_FALSE(cache.Lookup(1, {1}, 5, &out));
-  EXPECT_EQ(cache.Stats().size, 0u);
-  EXPECT_EQ(cache.Stats().hits, 1u);
+  EXPECT_EQ(CacheGauge(cache, "size"), 0.0);
+  EXPECT_EQ(CacheCounter(cache, "hits"), 1u);
 }
 
 TEST(CacheTest, SizeGaugeTracksEntries) {
   // The registry gauge is live, so /metrics and benches read the occupancy
-  // without a Stats() call refreshing it.
+  // without any call refreshing it.
   ShardedTopKCache cache(2, 1);
-  const obs::Gauge* size =
-      obs::Registry::Global().GetGauge(cache.obs_prefix() + "size");
   cache.Insert(1, {1}, 5, {10});
   cache.Insert(1, {1}, 5, {11});  // overwrite: still one entry
   cache.Insert(2, {2}, 5, {20});
-  EXPECT_EQ(size->value(), 2.0);
+  EXPECT_EQ(CacheGauge(cache, "size"), 2.0);
   cache.Insert(3, {3}, 5, {30});  // evicts: occupancy unchanged
-  EXPECT_EQ(size->value(), 2.0);
+  EXPECT_EQ(CacheGauge(cache, "size"), 2.0);
   cache.Clear();
-  EXPECT_EQ(size->value(), 0.0);
+  EXPECT_EQ(CacheGauge(cache, "size"), 0.0);
 }
 
 // --------------------------------------------------------------------------
@@ -900,6 +912,19 @@ TEST(SlowQueryLogTest, EvictsOldestBeyondCapacity) {
   EXPECT_EQ(engine->slow_query_log().total_recorded(), 10u);
 }
 
+TEST(SlowQueryLogTest, SyncRecordsClampedK) {
+  // The slow log records the k the request was scored with — clamped to
+  // the catalog — on the synchronous path as on the async one.
+  ServingEngineOptions options;
+  options.slow_query_threshold_ms = 1e-6;  // everything is "slow"
+  auto engine = MakeEngine(options);
+  const std::size_t num_herbs = engine->store().num_herbs();
+  ASSERT_TRUE(engine->Handle(MakeRequest({1, 2}, num_herbs + 5)).ok());
+  const auto records = engine->slow_query_log().Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].k, num_herbs);
+}
+
 // --------------------------------------------------------------------------
 // Hot swap (ServingEngine::Publish)
 // --------------------------------------------------------------------------
@@ -1110,6 +1135,63 @@ TEST(RequestSurfaceTest, VersionPinGuardsAcrossSwaps) {
   wrong_model.version.clear();
   wrong_model.model = "other-model";
   EXPECT_EQ(engine->Handle(wrong_model).status, StatusCode::kUnavailable);
+}
+
+TEST(RequestSurfaceTest, SyncAndAsyncPathsAnswerAlike) {
+  // HandleBatch and SubmitRequest share admission and execution, so the
+  // same requests get the same answers on both paths.
+  auto created = ServingEngine::Create(
+      MakeCheckpoint(24, 40, 8, /*with_si_mlp=*/true, /*with_herb_bipar=*/true));
+  ASSERT_TRUE(created.ok()) << created.status();
+  ServingEngine& engine = **created;
+  ASSERT_TRUE(engine.Publish(MakeCheckpoint(24, 40, 8, true, true), "v2").ok());
+
+  std::vector<Request> requests;
+  requests.push_back(MakeRequest({3, 1, 2}, 5));            // ok
+  requests.push_back(MakeRequest({1, 999}, 5));             // invalid symptoms
+  requests.push_back(MakeRequest({1, 2}, 5));
+  requests.back().model = "other-model";                    // wrong model
+  requests.push_back(MakeRequest({1, 2}, 5));
+  requests.back().version = "v1";                           // stale pin
+  requests.push_back(MakeRequest({4, 5}, 1000));            // over-catalog k
+  requests.push_back(MakeRequest({2, 4, 6}, 7));
+  requests.back().attribution = true;                       // attribution on
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].request_id = "parity-" + std::to_string(i);
+  }
+
+  const std::vector<Response> sync = engine.HandleBatch(requests);
+  ASSERT_EQ(sync.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const Response async = engine.SubmitRequest(requests[i]).get();
+    EXPECT_EQ(async.status, sync[i].status) << "request " << i;
+    EXPECT_EQ(async.herb_ids, sync[i].herb_ids) << "request " << i;
+    EXPECT_EQ(async.request_id, sync[i].request_id) << "request " << i;
+    EXPECT_EQ(async.model, sync[i].model) << "request " << i;
+    EXPECT_EQ(async.version, sync[i].version) << "request " << i;
+    ASSERT_EQ(async.attribution.has_value(), sync[i].attribution.has_value())
+        << "request " << i;
+    if (!async.attribution.has_value()) continue;
+    const auto& a = async.attribution->herbs;
+    const auto& b = sync[i].attribution->herbs;
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t h = 0; h < a.size(); ++h) {
+      EXPECT_EQ(a[h].herb_id, b[h].herb_id);
+      EXPECT_EQ(a[h].score, b[h].score);
+      EXPECT_EQ(a[h].bipar, b[h].bipar);
+      EXPECT_EQ(a[h].synergy, b[h].synergy);
+      EXPECT_EQ(a[h].pool_bias, b[h].pool_bias);
+      EXPECT_EQ(a[h].pool_residual, b[h].pool_residual);
+      EXPECT_EQ(a[h].per_symptom, b[h].per_symptom);
+    }
+  }
+  EXPECT_TRUE(sync[0].ok());
+  EXPECT_EQ(sync[1].status, StatusCode::kInvalidArgument);
+  EXPECT_EQ(sync[2].status, StatusCode::kUnavailable);
+  EXPECT_EQ(sync[3].status, StatusCode::kUnavailable);
+  EXPECT_EQ(sync[4].herb_ids.size(), 40u);
+  EXPECT_TRUE(sync[5].attribution.has_value());
+  EXPECT_EQ(sync[5].version, "v2");
 }
 
 TEST(RequestSurfaceTest, AsyncRejectsDenseMode) {

@@ -392,18 +392,6 @@ TEST(ThreadPoolTest, RunsAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.ParallelFor(hits.size(), [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForZeroIsNoop) {
-  ThreadPool pool(2);
-  pool.ParallelFor(0, [](std::size_t) { FAIL() << "must not run"; });
-}
-
 TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 1u);
