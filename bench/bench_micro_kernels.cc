@@ -222,15 +222,24 @@ void BM_KernelGemvS8(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelGemvS8)->Arg(0)->Arg(1);
 
+// Top-20 of one 753-herb row (the real corpus herb count). Arg 0: random
+// scores; arg 1: ascending scores, the worst case for a partial sort that
+// admits every new element into its heap.
+template <typename T>
 void BM_TopK(benchmark::State& state) {
   Rng rng(7);
-  std::vector<double> scores(753);  // the real corpus herb count
-  for (double& s : scores) s = rng.Uniform();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::TopK(scores, 20));
+  std::vector<T> scores(753);
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    scores[i] = state.range(0) == 0 ? static_cast<T>(rng.Uniform())
+                                    : static_cast<T>(i);
   }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eval::TopK(scores.data(), scores.size(), 20));
+  }
+  state.SetLabel(state.range(0) == 0 ? "random" : "ascending");
 }
-BENCHMARK(BM_TopK);
+BENCHMARK_TEMPLATE(BM_TopK, double)->Arg(0)->Arg(1);
+BENCHMARK_TEMPLATE(BM_TopK, float)->Arg(0)->Arg(1);
 
 void BM_GraphConstruction(benchmark::State& state) {
   data::TcmGeneratorConfig cfg;

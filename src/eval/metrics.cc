@@ -2,23 +2,91 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <limits>
 #include <unordered_set>
 
 namespace smgcn {
 namespace eval {
 
+namespace {
+
+/// A score that can still reach the top k, carried with its index so the
+/// selection compares scores without chasing indices back into the row.
+template <typename T>
+struct Candidate {
+  T score;
+  std::size_t index;
+};
+
+template <typename T>
+std::vector<std::size_t> TopKImpl(const T* scores, std::size_t n,
+                                  std::size_t k) {
+  k = std::min(k, n);
+  if (k == 0) return {};
+  // Per-thread scratch: after warm-up a call allocates only its result.
+  static thread_local std::vector<T> group_max;
+  static thread_local std::vector<Candidate<T>> kept;
+
+  // Bound the k-th best score from below in one pass. Element i belongs to
+  // group i mod k; the k group maxima are k distinct elements, so the k-th
+  // best score is at least the smallest of them, and nothing below that
+  // floor can rank in the top k. NaN never raises a maximum, so the floor
+  // is never NaN; a group of only NaN (or -inf) leaves it at -inf.
+  group_max.assign(k, -std::numeric_limits<T>::infinity());
+  T* maxima = group_max.data();
+  for (std::size_t base = 0; base < n; base += k) {
+    const T* row = scores + base;
+    const std::size_t len = std::min(k, n - base);
+    for (std::size_t g = 0; g < len; ++g) {
+      maxima[g] = row[g] > maxima[g] ? row[g] : maxima[g];
+    }
+  }
+  T floor = maxima[0];
+  for (std::size_t g = 1; g < k; ++g) {
+    floor = maxima[g] < floor ? maxima[g] : floor;
+  }
+
+  // Keep the numbers at or above the floor, branch-free. At least k survive
+  // unless the floor is -inf, in which case every number does.
+  kept.resize(n);
+  Candidate<T>* out = kept.data();
+  std::size_t survivors = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    out[survivors] = {scores[i], i};
+    survivors += scores[i] >= floor;
+  }
+
+  // Exact selection and ordering over the survivors only: higher score
+  // first, ties to the lower index.
+  const auto ahead = [](const Candidate<T>& a, const Candidate<T>& b) {
+    return a.score > b.score || (a.score == b.score && a.index < b.index);
+  };
+  const std::size_t ranked = std::min(k, survivors);
+  if (survivors > k) std::nth_element(out, out + k, out + survivors, ahead);
+  std::sort(out, out + ranked, ahead);
+  std::vector<std::size_t> top(k);
+  for (std::size_t j = 0; j < ranked; ++j) top[j] = out[j].index;
+  // Fewer than k numbers in the row: NaNs fill the rest in index order.
+  for (std::size_t i = 0, j = ranked; j < k && i < n; ++i) {
+    if (std::isnan(scores[i])) top[j++] = i;
+  }
+  return top;
+}
+
+}  // namespace
+
+std::vector<std::size_t> TopK(const float* scores, std::size_t n,
+                              std::size_t k) {
+  return TopKImpl(scores, n, k);
+}
+
+std::vector<std::size_t> TopK(const double* scores, std::size_t n,
+                              std::size_t k) {
+  return TopKImpl(scores, n, k);
+}
+
 std::vector<std::size_t> TopK(const std::vector<double>& scores, std::size_t k) {
-  k = std::min(k, scores.size());
-  std::vector<std::size_t> idx(scores.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  std::partial_sort(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
-                    idx.end(), [&scores](std::size_t a, std::size_t b) {
-                      if (scores[a] != scores[b]) return scores[a] > scores[b];
-                      return a < b;
-                    });
-  idx.resize(k);
-  return idx;
+  return TopK(scores.data(), scores.size(), k);
 }
 
 namespace {

@@ -9,8 +9,17 @@
 namespace smgcn {
 namespace eval {
 
-/// Indices of the `k` largest scores, ordered by descending score (ties
-/// broken by lower index, making evaluation deterministic).
+/// Indices of the min(k, n) best of the `n` scores, best first. The order
+/// is total, so the ids are deterministic for every input: a higher score
+/// ranks first, any number ranks ahead of NaN, and ties (equal scores,
+/// +0 and -0, or two NaNs) go to the lower index. The float form ranks
+/// exactly as the widened double row would (widening is exact and keeps
+/// order). Runs in O(n) plus a sort of the few elements that can reach the
+/// top k, with no per-call allocation beyond the result, whose capacity is
+/// exactly its size.
+std::vector<std::size_t> TopK(const float* scores, std::size_t n, std::size_t k);
+std::vector<std::size_t> TopK(const double* scores, std::size_t n,
+                              std::size_t k);
 std::vector<std::size_t> TopK(const std::vector<double>& scores, std::size_t k);
 
 /// Fraction of the top-K ranked items that are relevant. `ranked` must be

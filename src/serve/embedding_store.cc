@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/eval/metrics.h"
 #include "src/tensor/quantize.h"
 #include "src/util/logging.h"
 #include "src/util/string_util.h"
@@ -246,36 +247,46 @@ tensor::Matrix EmbeddingStore::PoolSymptoms(
   return pooled;
 }
 
-void EmbeddingStore::ScoreBatchInto(const std::vector<CanonicalQuery>& batch,
-                                    std::vector<double>* rows) const {
-  const std::size_t h = num_herbs();
-  const float* scores = nullptr;
-  switch (precision_) {
-    case tensor::Precision::kFloat32:
-      scores = ScoreBatchF32Raw(batch);
-      break;
-    case tensor::Precision::kInt8:
-      scores = ScoreBatchS8Raw(batch);
-      break;
-    case tensor::Precision::kFloat64:
-      break;
-  }
-  if (scores != nullptr) {
-    // Reduced-precision paths widen straight into the caller's rows — no
-    // intermediate b x H f64 Matrix (a fresh multi-hundred-KB allocation
-    // per batch) and no second row copy on the engine side. assign() is a
-    // single converting pass with no value-init sweep.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      const float* row = scores + i * h;
-      rows[i].assign(row, row + h);
-    }
+std::vector<std::size_t> EmbeddingStore::ScoreBlock::TopK(
+    std::size_t i, std::size_t k) const {
+  if (f32 != nullptr) return eval::TopK(f32 + i * num_herbs, num_herbs, k);
+  return eval::TopK(f64.row_data(i), num_herbs, k);
+}
+
+void EmbeddingStore::ScoreBlock::Widen(std::size_t i,
+                                       std::vector<double>* out) const {
+  // assign() is a single converting pass with no value-init sweep.
+  if (f32 != nullptr) {
+    const float* row = f32 + i * num_herbs;
+    out->assign(row, row + num_herbs);
     return;
   }
-  const tensor::Matrix m = ScoreBatchF64(batch);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const double* row = m.row_data(i);
-    rows[i].assign(row, row + h);
+  const double* row = f64.row_data(i);
+  out->assign(row, row + num_herbs);
+}
+
+EmbeddingStore::ScoreBlock EmbeddingStore::Score(
+    const std::vector<CanonicalQuery>& batch) const {
+  ScoreBlock block;
+  block.num_herbs = num_herbs();
+  switch (precision_) {
+    case tensor::Precision::kFloat32:
+      block.f32 = ScoreBatchF32Raw(batch);
+      break;
+    case tensor::Precision::kInt8:
+      block.f32 = ScoreBatchS8Raw(batch);
+      break;
+    case tensor::Precision::kFloat64:
+      block.f64 = ScoreBatchF64(batch);
+      break;
   }
+  return block;
+}
+
+void EmbeddingStore::ScoreBatchInto(const std::vector<CanonicalQuery>& batch,
+                                    std::vector<double>* rows) const {
+  const ScoreBlock block = Score(batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) block.Widen(i, &rows[i]);
 }
 
 tensor::Matrix EmbeddingStore::PoolAndActivateF64(

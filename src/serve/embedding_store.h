@@ -20,9 +20,10 @@
 //   * Precision::kFloat32 halves the embedding footprint (the checkpoint's
 //     doubles are narrowed once at Build, round-to-nearest-even) and scores
 //     through the runtime-dispatched f32 kernels (tensor/kernels.h —
-//     AVX2 where the CPU has it, scalar otherwise). Scores are returned
-//     widened to double; accuracy versus the f64 reference is bounded by
-//     the top-k-agreement / NDCG-delta parity tests.
+//     AVX2 where the CPU has it, scalar otherwise). Score() hands out the
+//     float rows as the kernel wrote them; only dense mode (ScoreBatchInto)
+//     returns them widened to double. Accuracy versus the f64 reference is
+//     bounded by the top-k-agreement / NDCG-delta parity tests.
 //   * Precision::kInt8 quantizes the symptom and herb embeddings per row
 //     (tensor/quantize.h) to ~1/8 the f64 embedding footprint and scores
 //     the final embedding GEMM through the dispatched int8 kernels. Only
@@ -90,17 +91,34 @@ class EmbeddingStore {
   /// num_symptoms()). Double-precision (reference-path) pooling.
   tensor::Matrix PoolSymptoms(const std::vector<CanonicalQuery>& batch) const;
 
-  /// Scores every herb for every query in one fused pass, writing query
-  /// i's H scores into rows[i] for i in [0, batch.size()). The one scoring
-  /// entry point: each precision dispatches here, and row i is
-  /// bit-identical to ScoreOne(batch[i]). Reduced-precision stores compute
-  /// in float through the dispatched kernels and widen straight into the
-  /// caller's rows, with no intermediate b x H f64 matrix.
+  /// The b x H score rows of one scored batch, in the store's own
+  /// arithmetic: float rows for the f32 and int8 stores (the kernel's
+  /// per-thread scratch, valid until the next scoring call on the same
+  /// thread), double rows for the f64 store (its GEMM matrix, held here).
+  /// Exactly one of `f32` and `f64` holds the rows.
+  struct ScoreBlock {
+    const float* f32 = nullptr;
+    tensor::Matrix f64;
+    std::size_t num_herbs = 0;
+
+    /// eval::TopK of row i: the ids ranking the widened row would give.
+    std::vector<std::size_t> TopK(std::size_t i, std::size_t k) const;
+    /// Row i widened to double (exact for float rows).
+    void Widen(std::size_t i, std::vector<double>* out) const;
+  };
+
+  /// Scores every herb for every query in one fused pass; row i of the
+  /// block belongs to batch[i]. The one scoring dispatch: each precision
+  /// branches here, and row i is bit-identical to ScoreOne(batch[i]).
+  ScoreBlock Score(const std::vector<CanonicalQuery>& batch) const;
+
+  /// Dense mode: Score() widened into the caller's rows, query i's H scores
+  /// into rows[i] for i in [0, batch.size()).
   void ScoreBatchInto(const std::vector<CanonicalQuery>& batch,
                       std::vector<double>* rows) const;
 
-  /// Herb scores for a single canonical query (ScoreBatchInto with a batch
-  /// of one).
+  /// Herb scores for a single canonical query, widened to double
+  /// (ScoreBatchInto with a batch of one).
   std::vector<double> ScoreOne(const CanonicalQuery& query) const;
 
   /// True when the store carries the pre-fusion Bipar-GCN herb component
@@ -139,7 +157,7 @@ class EmbeddingStore {
                                   tensor::quantize::QuantizedMatrix herbs,
                                   tensor::quantize::QuantizedMatrix bipar);
 
-  /// Per-precision scoring guts behind ScoreBatchInto. The f64 path returns
+  /// Per-precision scoring guts behind Score. The f64 path returns
   /// the b x H reference matrix; the f32/int8 paths compute the score block
   /// in f32 and return a pointer into per-thread scratch (valid until the
   /// next call on this thread).

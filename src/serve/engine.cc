@@ -4,7 +4,6 @@
 #include <atomic>
 #include <utility>
 
-#include "src/eval/metrics.h"
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/obs/trace.h"
@@ -285,18 +284,21 @@ void ServingEngine::RecommendCanonical(
             gathered.push_back(queries[misses[m]]);
           }
         }
-        std::vector<std::vector<double>> rows(end - begin);
-        snap.store.ScoreBatchInto(gathered.empty() ? queries : gathered,
-                                  rows.data());
+        // Ranked rows are read straight off the kernel's score block (float
+        // for f32/int8, double for f64); only dense rows are widened, and
+        // that widening is part of scoring, inside the serve.gemm span.
+        const EmbeddingStore::ScoreBlock scores =
+            snap.store.Score(gathered.empty() ? queries : gathered);
+        if (k == 0) {
+          for (std::size_t m = begin; m < end; ++m) {
+            scores.Widen(m - begin, &out[misses[m]].scores);
+          }
+        }
         const double gemm_seconds = gemm_span.Stop();
         const auto topk_start = std::chrono::steady_clock::now();
-        for (std::size_t m = begin; m < end; ++m) {
+        for (std::size_t m = begin; k > 0 && m < end; ++m) {
           Response& resp = out[misses[m]];
-          if (k == 0) {
-            resp.scores = std::move(rows[m - begin]);
-            continue;
-          }
-          resp.herb_ids = eval::TopK(rows[m - begin], k);
+          resp.herb_ids = scores.TopK(m - begin, k);
           if (cache_enabled_) {
             const CanonicalQuery& q = queries[misses[m]];
             cache_.Insert(CombineKey(q.key, snap.salt), q.symptom_ids, k,
@@ -385,7 +387,8 @@ Status ServingEngine::Admit(const Request& request,
 }
 
 Response ServingEngine::Handle(const Request& request) const {
-  return HandleBatch({request}).front();
+  std::vector<Response> out = HandleBatch({request});
+  return std::move(out.front());
 }
 
 std::vector<Response> ServingEngine::HandleBatch(

@@ -314,8 +314,9 @@ class ServingEngine {
 
   /// Scores one group of canonical queries that share a snapshot and k:
   /// cache lookaside in ranked mode (keys salted with the snapshot), one
-  /// ParallelBlocks GEMM over the rest, then top-k + cache insert (k >= 1)
-  /// or the dense score rows moved out (k == 0). Query i's payload lands
+  /// ParallelBlocks GEMM over the rest, then top-k off the store's score
+  /// block + cache insert (k >= 1) or the rows widened to double (k == 0,
+  /// inside the serve.gemm span). Query i's payload lands
   /// in out[i].herb_ids or out[i].scores; counts one `batches` per call
   /// that scored anything. `stages`, when non-null, is resized to
   /// queries.size() and filled with per-query attribution (only worth the

@@ -1,7 +1,10 @@
 // Unit tests for ranking metrics (eqs. 16-18) and the batched evaluator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "src/eval/evaluator.h"
 #include "src/eval/metrics.h"
@@ -30,6 +33,38 @@ TEST(TopKTest, TiesBrokenByLowerIndex) {
 }
 
 TEST(TopKTest, ZeroKIsEmpty) { EXPECT_TRUE(TopK({1.0}, 0).empty()); }
+
+TEST(TopKTest, NanRanksAfterEveryNumberTiesByIndex) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> scores = {nan, 0.5, -inf, nan, 2.0, -0.0, 0.0};
+  // Numbers best first (-0 and +0 tie by index), then the NaNs by index.
+  const std::vector<std::size_t> all = {4, 1, 5, 6, 2, 0, 3};
+  EXPECT_EQ(TopK(scores, scores.size()), all);
+  for (std::size_t k = 0; k <= scores.size() + 1; ++k) {
+    const std::size_t expect = std::min(k, scores.size());
+    EXPECT_EQ(TopK(scores, k),
+              std::vector<std::size_t>(all.begin(), all.begin() + expect))
+        << "k=" << k;
+  }
+  // All NaN: index order.
+  EXPECT_EQ(TopK({nan, nan, nan}, 2), (std::vector<std::size_t>{0, 1}));
+}
+
+TEST(TopKTest, ResultCapacityIsExactlyK) {
+  // A kept ranking must not carry the catalog-sized buffer it was picked
+  // from: 16k stored top-20 lists over 753 herbs would otherwise pin ~6 KB
+  // each.
+  std::vector<double> scores(753);
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    scores[i] = std::sin(static_cast<double>(i));
+  }
+  for (const std::size_t k : {1u, 20u, 376u, 753u, 800u}) {
+    const std::vector<std::size_t> top = TopK(scores, k);
+    EXPECT_EQ(top.size(), std::min<std::size_t>(k, scores.size()));
+    EXPECT_EQ(top.capacity(), top.size()) << "k=" << k;
+  }
+}
 
 // --------------------------------------------------------------------------
 // Precision / Recall / NDCG

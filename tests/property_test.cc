@@ -2,7 +2,9 @@
 // metric invariants over many random instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -174,6 +176,95 @@ TEST_P(MetricProperty, TopKIsSortedAndDistinct) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricProperty,
                          testing::Values(11, 22, 33, 44, 55, 66, 77, 88));
+
+// --------------------------------------------------------------------------
+// TopK against a full stable sort
+// --------------------------------------------------------------------------
+
+// The reference ranking: every index, stable-sorted best first (NaN after
+// every number), so equal scores keep ascending index order.
+template <typename T>
+std::vector<std::size_t> StableSortTopK(const std::vector<T>& scores,
+                                        std::size_t k) {
+  std::vector<std::size_t> idx(scores.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    if (std::isnan(scores[a])) return false;
+    return std::isnan(scores[b]) || scores[a] > scores[b];
+  });
+  idx.resize(std::min(k, idx.size()));
+  return idx;
+}
+
+enum class RowShape {
+  kRandom,
+  kAscending,
+  kDescending,
+  kAllTied,
+  kEightLevels,
+  kSomeNan,
+};
+
+template <typename T>
+std::vector<T> MakeRow(RowShape shape, std::size_t n, Rng* rng) {
+  std::vector<T> row(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = static_cast<double>(i);
+    switch (shape) {
+      case RowShape::kRandom:
+        row[i] = static_cast<T>(rng->Normal(0.0, 1.0));
+        break;
+      case RowShape::kAscending:
+        row[i] = static_cast<T>(x);
+        break;
+      case RowShape::kDescending:
+        row[i] = static_cast<T>(-x);
+        break;
+      case RowShape::kAllTied:
+        row[i] = static_cast<T>(0.5);
+        break;
+      case RowShape::kEightLevels:
+        row[i] = static_cast<T>(rng->UniformInt(0, 7));
+        break;
+      case RowShape::kSomeNan:
+        row[i] = rng->Bernoulli(0.2) ? std::numeric_limits<T>::quiet_NaN()
+                                     : static_cast<T>(rng->UniformInt(0, 7));
+        break;
+    }
+  }
+  return row;
+}
+
+template <typename T>
+void CheckTopKAgainstStableSort(std::uint64_t seed) {
+  Rng rng(seed);
+  for (const std::size_t n : {1u, 2u, 3u, 753u, 4096u}) {
+    for (const RowShape shape :
+         {RowShape::kRandom, RowShape::kAscending, RowShape::kDescending,
+          RowShape::kAllTied, RowShape::kEightLevels, RowShape::kSomeNan}) {
+      const std::vector<T> row = MakeRow<T>(shape, n, &rng);
+      for (const std::size_t k :
+           {std::size_t{0}, std::size_t{1}, std::size_t{5}, std::size_t{20},
+            n / 2, n / 2 + 1, n, n + 7}) {
+        const std::vector<std::size_t> got = eval::TopK(row.data(), n, k);
+        ASSERT_EQ(got, StableSortTopK(row, k))
+            << "n=" << n << " k=" << k << " shape=" << static_cast<int>(shape);
+      }
+    }
+  }
+}
+
+class TopKProperty : public testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TopKProperty, DoubleRowsMatchStableSort) {
+  CheckTopKAgainstStableSort<double>(GetParam());
+}
+
+TEST_P(TopKProperty, FloatRowsMatchStableSort) {
+  CheckTopKAgainstStableSort<float>(GetParam() + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TopKProperty, testing::Values(3, 17, 29));
 
 // --------------------------------------------------------------------------
 // Loss invariants over random instances

@@ -18,6 +18,7 @@
 #include "src/audit/audit.h"
 #include "src/core/artifact.h"
 #include "src/core/checkpoint.h"
+#include "src/eval/metrics.h"
 #include "src/obs/registry.h"
 #include "src/serve/cache.h"
 #include "src/serve/embedding_store.h"
@@ -569,6 +570,71 @@ TEST(ServingEngineTest, Float32PrecisionOptionServes) {
   // Publish through the engine keeps the configured precision.
   ASSERT_TRUE(f32_engine->Publish(MakeCheckpoint(), "v2").ok());
   EXPECT_EQ(f32_engine->store().precision(), tensor::Precision::kFloat32);
+}
+
+// Ranked answers are picked straight off the kernel's score rows (float
+// at f32/int8); they must be exactly the ids eval::TopK gives on the dense
+// (widened) row, on both paths, at every precision and batch size, with
+// cache hits and misses mixed in one batch.
+TEST(ServingEngineTest, RankedIdsEqualTopKOfDenseRows) {
+  constexpr std::size_t kTopK = 5;
+  Rng rng(4242);
+  std::vector<std::vector<int>> queries(128);
+  for (auto& q : queries) {
+    const std::size_t len = static_cast<std::size_t>(rng.UniformInt(1, 4));
+    for (std::size_t j = 0; j < len; ++j) {
+      q.push_back(static_cast<int>(rng.UniformInt(0, 23)));
+    }
+  }
+  for (const tensor::Precision precision :
+       {tensor::Precision::kFloat64, tensor::Precision::kFloat32,
+        tensor::Precision::kInt8}) {
+    ServingEngineOptions options;
+    options.precision = precision;
+    options.cache_capacity = 1024;
+    // One engine per path, each warmed with every third query, so both
+    // paths see batches that mix cache hits and misses.
+    auto sync_engine = MakeEngine(options);
+    auto async_engine = MakeEngine(options);
+    std::vector<std::vector<int>> warm;
+    for (std::size_t i = 0; i < queries.size(); i += 3) {
+      warm.push_back(queries[i]);
+    }
+    sync_engine->HandleBatch(MakeRequests(warm, kTopK));
+    async_engine->HandleBatch(MakeRequests(warm, kTopK));
+
+    for (const std::size_t b : {1u, 16u, 17u, 128u}) {
+      const std::vector<std::vector<int>> batch(queries.begin(),
+                                                queries.begin() + b);
+      const std::vector<Response> dense =
+          sync_engine->HandleBatch(MakeRequests(batch, /*k=*/0));
+      const std::vector<Response> ranked =
+          sync_engine->HandleBatch(MakeRequests(batch, kTopK));
+      std::vector<std::future<Response>> async;
+      for (const auto& q : batch) {
+        async.push_back(async_engine->SubmitRequest(MakeRequest(q, kTopK)));
+      }
+      for (std::size_t i = 0; i < b; ++i) {
+        ASSERT_TRUE(dense[i].ok()) << dense[i].message;
+        ASSERT_TRUE(ranked[i].ok()) << ranked[i].message;
+        const std::vector<std::size_t> expected =
+            eval::TopK(dense[i].scores, kTopK);
+        EXPECT_EQ(ranked[i].herb_ids, expected)
+            << "precision " << static_cast<int>(precision) << " b=" << b
+            << " query " << i;
+        const Response answer = async[i].get();
+        ASSERT_TRUE(answer.ok()) << answer.message;
+        EXPECT_EQ(answer.herb_ids, expected)
+            << "precision " << static_cast<int>(precision) << " b=" << b
+            << " query " << i << " (async)";
+      }
+    }
+    for (const ServingEngine* engine :
+         {sync_engine.get(), async_engine.get()}) {
+      EXPECT_GT(EngineCounter(*engine, "cache.hits"), 0u);
+      EXPECT_GT(EngineCounter(*engine, "cache.misses"), warm.size());
+    }
+  }
 }
 
 TEST(ServingEngineTest, EnginesGetDistinctObsScopes) {
