@@ -60,17 +60,16 @@ constexpr std::size_t kDim = 512;
 constexpr std::size_t kTopK = 10;
 constexpr int kConnections = 4;
 /// Pipelined requests per connection during calibration: enough in flight
-/// (4 x 16 = 64, one full engine batch) to keep the micro-batcher's
-/// batches full, which is where the server's real (batched) capacity
-/// lives — a plain call-and-wait loop would measure round-trip latency
-/// instead — while staying at the admission-queue depth so calibration
-/// itself does not shed.
+/// (4 x 16 = 64) to keep the drainers' batches full, which is where the
+/// server's real (batched) capacity lives — a plain call-and-wait loop
+/// would measure round-trip latency instead — while staying at the
+/// admission-queue depth so calibration itself does not shed.
 constexpr int kCalibrationWindow = 16;
 constexpr double kCalibrationSeconds = 2.0;
 constexpr double kStepSeconds = 3.0;
 /// Leading slice of every open-loop step that sends on schedule but is
 /// excluded from the counts: fresh threads, fresh connections and a cold
-/// batcher make the first few hundred milliseconds unrepresentative.
+/// engine make the first few hundred milliseconds unrepresentative.
 constexpr double kWarmupSeconds = 0.5;
 /// Small, matched kernel socket buffers on both sides (the kernel rounds
 /// up to its floor). On a host where the load generator and the server
@@ -374,14 +373,11 @@ bool Run() {
 
   serve::ModelManagerOptions manager_options;
   // Batch bound equal to the queue bound: a full admission queue is
-  // exactly one full batch, so at overload the batcher flushes immediately
-  // instead of idling out the coalesce window while Submit sheds.
+  // exactly one full batch. There is no coalesce window: the drainers cut
+  // whatever has queued while they were busy, so batches stay small below
+  // the knee and grow to this bound past it, and an accepted request waits
+  // at most about one batch execution before it is cut.
   manager_options.engine_options.max_batch_size = 16;
-  // Throughput-oriented coalescing: pre-saturation latency is dominated by
-  // the batch-formation window, so batches have comparable size on both
-  // sides of the knee and the overload p99 is an apples-to-apples multiple
-  // of the pre-saturation p99.
-  manager_options.engine_options.max_wait_ms = 30.0;
   // No cache: Zipf repeats would otherwise serve from the hot set and the
   // sweep would measure the cache, not the scoring capacity.
   manager_options.engine_options.cache_capacity = 0;
@@ -406,7 +402,7 @@ bool Run() {
               trace.size(), kNumSymptoms, kNumHerbs, kDim, kConnections);
 
   // Batch-size telemetry straight from the engine's obs counters: if the
-  // mean batch stays small the sweep is pacing the batcher, not flooding
+  // mean batch stays small the sweep is pacing the drainers, not flooding
   // the admission queue.
   auto engine = (*manager)->Engine("bench-zipf");
   SMGCN_CHECK_OK(engine.status());
@@ -479,7 +475,7 @@ bool Run() {
   }
 
   // Deadline demo: deepest overload again, now with a per-request budget.
-  // Requests the batcher cannot meet in time come back kDeadlineExceeded
+  // Requests the engine cannot meet in time come back kDeadlineExceeded
   // (cheaply, swept before scoring) on top of admission-queue shedding.
   StepResult deadline_step =
       RunOpenLoop("open_loop_2.00x_deadline", (*server)->port(), trace,

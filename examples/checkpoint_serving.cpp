@@ -96,7 +96,6 @@ int main() {
   // --- Online: publish into a model manager --------------------------------
   serve::ModelManagerOptions manager_options;
   manager_options.engine_options.max_batch_size = 64;
-  manager_options.engine_options.max_wait_ms = 0.5;
   manager_options.engine_options.cache_capacity = 1024;
   auto manager = serve::ModelManager::Create(manager_options);
   SMGCN_CHECK_OK(manager.status());

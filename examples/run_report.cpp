@@ -87,7 +87,6 @@ int main(int argc, char** argv) {
   SMGCN_CHECK_OK(checkpoint.status());
   serve::ServingEngineOptions engine_options;
   engine_options.max_batch_size = 16;
-  engine_options.max_wait_ms = 0.2;
   // Microscopic threshold so the demo always captures slow-query records.
   engine_options.slow_query_threshold_ms = 1e-3;
   auto engine = serve::ServingEngine::Create(*std::move(checkpoint),

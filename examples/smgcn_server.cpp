@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
 
   serve::ModelManagerOptions manager_options;
   manager_options.engine_options.max_batch_size = 64;
-  manager_options.engine_options.max_wait_ms = 0.5;
   manager_options.engine_options.cache_capacity = 4096;
   // Bounded admission: past this, requests answer kShedding immediately
   // instead of queueing without limit.
@@ -129,7 +128,7 @@ int main(int argc, char** argv) {
 
   std::printf("draining...\n");
   (*server)->Stop();       // answer everything admitted, then close
-  (*manager)->Shutdown();  // resolve everything the batcher still holds
+  (*manager)->Shutdown();  // resolve everything still queued
   std::printf("stopped cleanly\n");
   return 0;
 }

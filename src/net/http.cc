@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <utility>
 
 #include "src/audit/audit.h"
@@ -186,10 +187,16 @@ Result<std::vector<int>> ParseIntList(const std::string& csv) {
           StrFormat("empty element in id list '%s'", csv.c_str()));
     }
     char* end = nullptr;
-    const long value = std::strtol(part.c_str(), &end, 10);
+    const long long value = std::strtoll(part.c_str(), &end, 10);
     if (end == part.c_str() || *end != '\0') {
       return Status::InvalidArgument(
           StrFormat("'%s' is not an integer", part.c_str()));
+    }
+    // strtoll saturates past its own range, so this also rejects those.
+    if (value < std::numeric_limits<int>::min() ||
+        value > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument(
+          StrFormat("'%s' is out of the int range", part.c_str()));
     }
     out.push_back(static_cast<int>(value));
     start = comma + 1;

@@ -58,7 +58,8 @@ std::string FormatResponse(
 /// The reason phrase for the status codes this server emits.
 const char* ReasonPhrase(int status);
 
-/// Parses "1,4,9" into ints; InvalidArgument on empty or non-numeric parts.
+/// Parses "1,4,9" into ints; InvalidArgument on empty or non-numeric parts
+/// and on parts outside the int range (naming the offending part).
 Result<std::vector<int>> ParseIntList(const std::string& csv);
 
 /// Reads GET /v1/recommend's query — symptoms=1,4,9 (required), k

@@ -10,7 +10,7 @@
 //     micro-batches with in-process traffic and obeys the same admission
 //     control: a full engine queue answers kShedding (RESOURCE_EXHAUSTED)
 //     immediately instead of queueing unboundedly, and per-request
-//     deadlines propagate into the batcher.
+//     deadlines propagate into the engine.
 //
 //   * HTTP/1.1 (http.h), the ops plane:
 //       GET /healthz        "ok" (200) — or "draining" (503) during Stop

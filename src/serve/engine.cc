@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <utility>
 
 #include "src/obs/registry.h"
@@ -23,6 +24,12 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 /// Rows per parallel work unit; a multiple of the store kernel's query block
 /// so every sub-batch still amortises herb-matrix streaming.
 constexpr std::size_t kScoreBlockRows = 16;
+
+/// Drainers allowed at once: one batch scoring while the next is cut, enough
+/// to keep the pool busy without racing ahead of it. Arrivals beyond what
+/// they keep up with wait in the queue, where max_queue_depth can shed them
+/// and the next cut grows to match the arrival rate.
+constexpr std::size_t kMaxBatchesInFlight = 2;
 
 /// Process-unique cache salts: a counter run through the query-key mixer so
 /// consecutive publishes land in unrelated cache shards/buckets.
@@ -159,9 +166,6 @@ Result<std::unique_ptr<ServingEngine>> ServingEngine::CreateFromSnapshot(
   if (options.max_batch_size == 0) {
     return Status::InvalidArgument("max_batch_size must be positive");
   }
-  if (options.max_wait_ms < 0.0) {
-    return Status::InvalidArgument("max_wait_ms must be non-negative");
-  }
   if (options.slow_query_threshold_ms < 0.0) {
     return Status::InvalidArgument("slow_query_threshold_ms must be non-negative");
   }
@@ -207,11 +211,7 @@ ServingEngine::ServingEngine(std::shared_ptr<const ModelSnapshot> snapshot,
           obs::trace::TraceBuffer::Global().InternName("serve.execute_batch")),
       publish_trace_id_(
           obs::trace::TraceBuffer::Global().InternName("serve.publish")),
-      pool_(std::make_unique<ThreadPool>(options.num_threads, "serve.worker")) {
-  // Started in the body so the queue, mutex and condvar the loop touches are
-  // fully constructed first.
-  batcher_ = std::thread([this] { BatcherLoop(); });
-}
+      pool_(std::make_unique<ThreadPool>(options.num_threads, "serve.worker")) {}
 
 ServingEngine::~ServingEngine() { Shutdown(); }
 
@@ -371,17 +371,16 @@ Status ServingEngine::Admit(const Request& request,
   // adds its "query %zu:" prefix from its own loop index.
   if (!query.ok()) return query.status();
   out->query = *std::move(query);
-  if (request.deadline_ms > 0.0) {
-    const auto budget =
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double, std::milli>(request.deadline_ms));
-    out->deadline = now + budget;
-    // Flush at 80% of the budget: the batcher stops waiting for stragglers
-    // early enough to leave the GEMM headroom to finish in time.
-    out->flush_by = now + (budget / 5) * 4;
+  // A budget the steady clock cannot represent from `now` (1e13 ms, inf) is
+  // no deadline: converting it would overflow. NaN compares false: none.
+  const std::chrono::duration<double, std::milli> budget(request.deadline_ms);
+  if (budget.count() > 0.0 &&
+      budget < std::chrono::steady_clock::time_point::max() - now) {
+    out->deadline =
+        now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                  budget);
   } else {
     out->deadline = std::chrono::steady_clock::time_point::max();
-    out->flush_by = out->deadline;
   }
   return Status::OK();
 }
@@ -416,8 +415,8 @@ std::vector<Response> ServingEngine::HandleBatch(
   }
   // The micro-batcher's executor, run inline: no queue and no pool hop.
   // Execution is stamped at the admission instant, so the slow log's queue
-  // and coalesce stages read exactly 0 for synchronous requests.
-  if (!batch.empty()) ExecuteBatch(std::move(batch), 0.0, start);
+  // stage reads exactly 0 for synchronous requests.
+  if (!batch.empty()) ExecuteBatch(std::move(batch), start);
   return out;
 }
 
@@ -457,6 +456,14 @@ void ServingEngine::SubmitRequest(Request incoming,
       shed = true;
     } else {
       queue_.push_back(std::move(request));
+      // Work-conserving: with a slot free the request starts draining now;
+      // otherwise a running drainer finds it before releasing its slot.
+      // Submitted under queue_mu_ so Shutdown's pool_->Wait() covers every
+      // drainer a queued request relies on.
+      if (drainers_ < kMaxBatchesInFlight) {
+        ++drainers_;
+        pool_->Submit([this] { DrainQueue(); });
+      }
     }
   }
   // Deliver rejections outside queue_mu_: the callback resolves a caller's
@@ -471,78 +478,41 @@ void ServingEngine::SubmitRequest(Request incoming,
         StrFormat("admission queue full (max_queue_depth=%zu); load-shedding",
                   options_.max_queue_depth)));
   }
-  queue_cv_.notify_one();
 }
 
-void ServingEngine::BatcherLoop() {
-  obs::trace::SetCurrentThreadName(obs_prefix_ + "batcher");
-  const auto max_wait = std::chrono::duration_cast<
-      std::chrono::steady_clock::duration>(
-      std::chrono::duration<double, std::milli>(options_.max_wait_ms));
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  while (true) {
-    queue_cv_.wait(lock, [this] { return shutting_down_ || !queue_.empty(); });
-    if (queue_.empty()) {
-      if (shutting_down_) return;
-      continue;
-    }
-    // Hold an incomplete batch briefly so concurrent requests coalesce; a
-    // full batch (or shutdown drain) flushes immediately. A queued request
-    // with a deadline tightens the wait to its flush_by point (80% of its
-    // budget), so feasible deadlines are met instead of spent coalescing.
-    while (queue_.size() < options_.max_batch_size && !shutting_down_) {
-      auto wake = queue_.front().enqueue_time + max_wait;
-      const std::size_t scan =
-          std::min(queue_.size(), options_.max_batch_size);
-      for (std::size_t i = 0; i < scan; ++i) {
-        wake = std::min(wake, queue_[i].flush_by);
-      }
-      if (wake <= std::chrono::steady_clock::now()) break;
-      if (queue_cv_.wait_until(lock, wake) == std::cv_status::timeout) {
-        break;
-      }
-    }
-    // One batch scoring, one staged: enough to keep the pool busy without
-    // racing ahead of it. Waiting here (instead of Submitting unboundedly)
-    // leaves excess arrivals in queue_, where the max_queue_depth admission
-    // bound can see and shed them — and lets the next batch grow to match
-    // the arrival rate while this one runs. Shutdown skips the wait: the
-    // drain path flushes everything through pool_->Wait().
-    constexpr std::size_t kMaxBatchesInFlight = 2;
-    queue_cv_.wait(lock, [this] {
-      return shutting_down_ || batches_in_flight_ < kMaxBatchesInFlight;
-    });
-    std::vector<PendingRequest> batch;
+void ServingEngine::DrainQueue() {
+  std::vector<PendingRequest> batch;
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
     const std::size_t take = std::min(queue_.size(), options_.max_batch_size);
     batch.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
-    ++batches_in_flight_;
-    // Coalescing time: how long the oldest request waited for the batch to
-    // form (bounded by max_wait_ms plus scheduling noise).
-    const double coalesce_seconds = SecondsSince(batch.front().enqueue_time);
-    coalesce_span_->Record(coalesce_seconds);
-    lock.unlock();
-    // Score on the pool so the batcher can immediately coalesce the next
-    // batch while this one runs.
-    auto shared = std::make_shared<std::vector<PendingRequest>>(std::move(batch));
-    pool_->Submit([this, shared, coalesce_seconds] {
-      ExecuteBatch(std::move(*shared), coalesce_seconds,
-                   std::chrono::steady_clock::now());
-      {
-        std::lock_guard<std::mutex> guard(queue_mu_);
-        --batches_in_flight_;
-      }
-      queue_cv_.notify_all();
-    });
-    lock.lock();
+  }
+  if (!batch.empty()) {
+    // Coalescing time: how long the oldest request waited to be cut — only
+    // as long as both drainers were busy.
+    const auto cut = std::chrono::steady_clock::now();
+    coalesce_span_->Record(
+        std::chrono::duration<double>(cut - batch.front().enqueue_time)
+            .count());
+    ExecuteBatch(std::move(batch), cut);
+  }
+  // One batch per pool task: the next cut queues behind the GEMM helpers
+  // this batch submitted, so they run (or retire) first and the pool's task
+  // queue stays bounded however long the overload lasts.
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  if (queue_.empty()) {
+    --drainers_;
+  } else {
+    pool_->Submit([this] { DrainQueue(); });
   }
 }
 
 void ServingEngine::ExecuteBatch(
-    std::vector<PendingRequest> batch, double coalesce_seconds,
+    std::vector<PendingRequest> batch,
     std::chrono::steady_clock::time_point execute_start) const {
   obs::ScopedSpan execute_span(execute_span_, execute_trace_id_);
   constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
@@ -622,7 +592,6 @@ void ServingEngine::ExecuteBatch(
         record.queue_seconds = std::chrono::duration<double>(
                                    execute_start - request.enqueue_time)
                                    .count();
-        record.coalesce_seconds = coalesce_seconds;
         record.gemm_seconds = s.gemm_seconds;
         record.topk_seconds = s.topk_seconds;
         record.cache_hit = s.cache_hit;
@@ -668,12 +637,9 @@ void ServingEngine::Shutdown() {
     std::lock_guard<std::mutex> lock(queue_mu_);
     shutting_down_ = true;
   }
-  queue_cv_.notify_all();
-  // shutdown_mu_ serialises concurrent Shutdown callers around the join.
-  std::lock_guard<std::mutex> join_lock(shutdown_mu_);
-  if (batcher_.joinable()) batcher_.join();
-  // The batcher drained the queue into the pool; wait for those batches.
-  if (pool_) pool_->Wait();
+  // No drainer starts after this point, and the running ones empty the
+  // queue before they finish.
+  pool_->Wait();
 }
 
 EngineRecommender::EngineRecommender(const ServingEngine* engine)

@@ -13,19 +13,23 @@
 //     returns ranked herb ids; top_k == 0 returns dense scores.
 //   * SubmitRequest — asynchronous (ranked mode only): returns a
 //     std::future<Response> immediately, or hands the Response to a
-//     callback (the network front-end's form); a micro-batcher coalesces
-//     queued requests (up to max_batch_size, waiting at most max_wait_ms for
-//     stragglers — or less when a request's deadline demands it) into one
-//     batch executed on the shared ThreadPool. Admission is bounded: with
-//     max_queue_depth > 0 a full queue load-sheds new requests with
-//     kShedding instead of queueing unboundedly.
+//     callback (the network front-end's form). The request joins a queue
+//     that at most two drainers empty on the shared ThreadPool: a submit
+//     that finds a drainer slot free starts one, and each drainer cuts
+//     whatever is queued (up to max_batch_size) into one batch, runs it,
+//     and re-queues itself on the pool while requests remain. Nothing
+//     waits on a timer: an
+//     idle engine runs a request at once, and arrivals coalesce only while
+//     both drainers are busy, so batch size follows load. Admission is
+//     bounded: with max_queue_depth > 0 a full queue load-sheds new
+//     requests with kShedding instead of queueing unboundedly.
 //
 // Deadlines: a request with deadline_ms > 0 is answered kOk only if
-// scoring finished within its budget, counted from admission. The batcher
-// flushes a pending batch early (at ~80% of the tightest queued budget) so
-// feasible deadlines are met; a request whose budget expired before its
-// batch started is answered kDeadlineExceeded without being scored, and one
-// that ran out during scoring is answered kDeadlineExceeded with no payload.
+// scoring finished within its budget, counted from admission. A request
+// whose budget expired before its batch started is answered
+// kDeadlineExceeded without being scored, and one that ran out during
+// scoring is answered kDeadlineExceeded with no payload. A budget too large
+// for the steady clock to represent (1e13 ms, inf) means no deadline.
 //
 // Metrics live in the smgcn::obs registry under the engine's own scope
 // (obs_prefix()); there is no separate stats view to keep in sync.
@@ -42,21 +46,19 @@
 // unique salt, so a swap implicitly invalidates stale top-k results without
 // flushing anything (superseded entries age out through LRU).
 //
-// Shutdown() drains: queued requests are still answered, then the batcher
-// stops and later SubmitRequests are answered kUnavailable. The destructor
-// shuts down implicitly.
+// Shutdown() drains: queued requests are still answered by the drainers,
+// and later SubmitRequests are answered kUnavailable. The destructor shuts
+// down implicitly.
 #ifndef SMGCN_SERVE_ENGINE_H_
 #define SMGCN_SERVE_ENGINE_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/checkpoint.h"
@@ -115,14 +117,12 @@ Result<std::shared_ptr<const ModelSnapshot>> MakeModelSnapshotFromArtifact(
     const core::MappedArtifact& artifact, std::string version);
 
 struct ServingEngineOptions {
-  /// Upper bound on queued requests the micro-batcher cuts into one batch
-  /// (must be positive). HandleBatch is not split: its batch is whatever
-  /// the caller passes.
+  /// Upper bound on queued requests a drainer cuts into one batch (must be
+  /// positive). A drainer never waits for a batch to fill: it takes what is
+  /// queued. HandleBatch is not split: its batch is whatever the caller
+  /// passes.
   std::size_t max_batch_size = 64;
-  /// How long the micro-batcher holds an incomplete batch hoping for more
-  /// queries before flushing it anyway.
-  double max_wait_ms = 0.2;
-  /// Worker threads executing micro-batches and helping with every batch's
+  /// Worker threads running the drainers and helping with every batch's
   /// GEMM blocks (HandleBatch's caller thread claims blocks too). 0 (the
   /// default) sizes the pool from the process-wide smgcn::parallel
   /// configuration (parallel::GetNumThreads()); parallel::SetNumThreads is
@@ -133,7 +133,7 @@ struct ServingEngineOptions {
   std::size_t cache_shards = 8;
   /// Latency threshold for the slow-query log in milliseconds: ranked
   /// requests at or above it are recorded with a per-stage breakdown (queue
-  /// → coalesce → GEMM → top-k; queue and coalesce are 0 for HandleBatch)
+  /// → GEMM → top-k; queue is 0 for HandleBatch)
   /// and the clamped k; see slow_query_log(). 0 (the default) disables the
   /// log.
   double slow_query_threshold_ms = 0.0;
@@ -231,8 +231,8 @@ class ServingEngine {
   /// executed the batch, so `done` must be cheap and must not block.
   void SubmitRequest(Request request, std::function<void(Response)> done);
 
-  /// Stops admitting requests, answers everything already queued, and joins
-  /// the batcher. Idempotent; called by the destructor.
+  /// Stops admitting requests and waits until the drainers have answered
+  /// everything already queued. Idempotent; called by the destructor.
   void Shutdown();
 
   /// Scope this engine's instruments occupy in obs::Registry::Global(),
@@ -242,6 +242,11 @@ class ServingEngine {
   /// publishes, shed, deadline_exceeded, slow_queries, and the cache's
   /// under "<prefix>cache.".
   const std::string& obs_prefix() const { return obs_prefix_; }
+
+  /// Tasks waiting in the worker pool, not yet started: drainer passes and
+  /// GEMM block helpers. Bounded by a small multiple of num_threads under
+  /// any load, since the backlog waits in the admission queue instead.
+  std::size_t pool_backlog() const { return pool_->pending(); }
 
   /// The slow-query log (disabled unless slow_query_threshold_ms > 0).
   const SlowQueryLog& slow_query_log() const { return slow_log_; }
@@ -274,10 +279,6 @@ class ServingEngine {
     /// Absolute deadline (computed from Request::deadline_ms at
     /// admission); time_point::max() when the request has none.
     std::chrono::steady_clock::time_point deadline;
-    /// When the batcher should flush this request's batch even if it is
-    /// not full yet: enqueue_time + 80% of the budget, reserving headroom
-    /// for the GEMM itself. == deadline when there is no deadline.
-    std::chrono::steady_clock::time_point flush_by;
   };
 
   ServingEngine(std::shared_ptr<const ModelSnapshot> snapshot,
@@ -285,7 +286,7 @@ class ServingEngine {
 
   /// Runs `fn(begin, end)` over [0, n) in blocks of `block` rows, fanned
   /// out across the thread pool with the calling thread participating.
-  /// Callable from pool workers themselves (the micro-batcher): the caller
+  /// Callable from pool workers themselves (the drainers): the caller
   /// claims blocks too, so progress never depends on free workers.
   void ParallelBlocks(
       std::size_t n, std::size_t block,
@@ -304,7 +305,7 @@ class ServingEngine {
   /// (or keeps the client's) and marks it on the trace, binds `snapshot`,
   /// rejects dense mode when `async`, checks the model/version pins, clamps
   /// k to the catalog, canonicalizes the symptoms, and sets the deadline
-  /// and flush point from `now`. request_id and snapshot are set on every
+  /// from `now`. request_id and snapshot are set on every
   /// outcome, so a rejection is attributable too. Returns OK when the
   /// request may be scored, else the status to answer it with.
   Status Admit(const Request& request,
@@ -330,14 +331,16 @@ class ServingEngine {
   /// `snap`.
   Status CheckPins(const Request& request, const ModelSnapshot& snap) const;
 
-  void BatcherLoop();
+  /// One drainer pass, run as a pool task: cuts up to max_batch_size
+  /// queued requests into a batch and executes it, then submits the next
+  /// pass if requests remain, else releases its drainer slot.
+  void DrainQueue();
   /// The one batch executor. Sweeps requests whose deadline passed before
   /// `execute_start`, groups the rest by (snapshot, k) — one
   /// RecommendCanonical pass each — and delivers every Response with its
   /// latency, slow-log record, optional attribution and deadline
-  /// post-check. `coalesce_seconds` is how long the batch's oldest request
-  /// waited for the batch to be cut (attributed to every query in it).
-  void ExecuteBatch(std::vector<PendingRequest> batch, double coalesce_seconds,
+  /// post-check.
+  void ExecuteBatch(std::vector<PendingRequest> batch,
                     std::chrono::steady_clock::time_point execute_start) const;
 
   /// The active snapshot, guarded by snapshot_mu_ (held only to copy the
@@ -371,17 +374,15 @@ class ServingEngine {
 
   mutable std::unique_ptr<ThreadPool> pool_;
   mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
   std::deque<PendingRequest> queue_;
   bool shutting_down_ = false;  // guarded by queue_mu_
-  /// Batches handed to the pool and not yet finished (guarded by
-  /// queue_mu_). The batcher stops popping past kMaxBatchesInFlight so
-  /// backlog builds in queue_ — where max_queue_depth can shed it —
-  /// instead of in the pool's unbounded task queue, where it would be
-  /// invisible to admission control.
-  std::size_t batches_in_flight_ = 0;
-  std::mutex shutdown_mu_;      // serialises Shutdown callers
-  std::thread batcher_;         // started last (ctor body); joined in Shutdown
+  /// Drainer slots held (guarded by queue_mu_), at most
+  /// kMaxBatchesInFlight; a slot is held from the submit that starts a
+  /// drainer until a pass finds the queue empty. Capping them, and running
+  /// one batch per pool task, keeps backlog in queue_ — where
+  /// max_queue_depth can shed it — instead of in the pool's unbounded task
+  /// queue, where it would be invisible to admission control.
+  std::size_t drainers_ = 0;
 };
 
 /// Adapts a ServingEngine to the HerbRecommender interface so evaluators and

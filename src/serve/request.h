@@ -38,10 +38,11 @@ struct Request {
   /// when 0 (synchronous paths only).
   std::size_t top_k = 10;
 
-  /// Latency budget in milliseconds from admission; 0 means no deadline.
-  /// A request whose budget expires before it is scored is answered with
-  /// kDeadlineExceeded instead of being scored late — the batcher flushes
-  /// early rather than holding a request past its deadline.
+  /// Latency budget in milliseconds from admission; 0 (or any value that
+  /// is not positive, or too large for the steady clock, e.g. inf) means no
+  /// deadline. A request whose budget expires before it is scored is
+  /// answered with kDeadlineExceeded instead of being scored late, and one
+  /// that runs out during scoring carries no payload.
   double deadline_ms = 0.0;
 
   /// Model to route to (ModelManager). Empty means "the only hosted

@@ -24,7 +24,7 @@ std::string SlowQueryRecord::ToString() const {
     out << " ";
   }
   out << "total=" << Ms(total_seconds) << " queue=" << Ms(queue_seconds)
-      << " coalesce=" << Ms(coalesce_seconds) << " gemm=" << Ms(gemm_seconds)
+      << " gemm=" << Ms(gemm_seconds)
       << " topk=" << Ms(topk_seconds) << " k=" << k << " batch=" << batch_size
       << (cache_hit ? " cache_hit" : "") << " symptoms=[";
   for (std::size_t i = 0; i < symptom_ids.size(); ++i) {
@@ -68,9 +68,8 @@ std::string SlowQueryLog::RenderMarkdown() const {
     out << "\n(no slow queries)\n";
     return out.str();
   }
-  out << "\n| id | model | total | queue | coalesce | gemm | topk | k | "
-         "batch | cache | symptoms |\n|---|---|---|---|---|---|---|---|---|"
-         "---|---|\n";
+  out << "\n| id | model | total | queue | gemm | topk | k | batch | cache | "
+         "symptoms |\n|---|---|---|---|---|---|---|---|---|---|\n";
   for (const SlowQueryRecord& r : entries) {
     out << "| " << (r.request_id.empty() ? "-" : r.request_id) << " | ";
     if (r.model.empty()) {
@@ -80,7 +79,7 @@ std::string SlowQueryLog::RenderMarkdown() const {
       if (!r.model_version.empty()) out << "/" << r.model_version;
     }
     out << " | " << Ms(r.total_seconds) << " | " << Ms(r.queue_seconds)
-        << " | " << Ms(r.coalesce_seconds) << " | " << Ms(r.gemm_seconds)
+        << " | " << Ms(r.gemm_seconds)
         << " | " << Ms(r.topk_seconds) << " | " << r.k << " | "
         << r.batch_size << " | " << (r.cache_hit ? "hit" : "miss") << " | [";
     for (std::size_t i = 0; i < r.symptom_ids.size(); ++i) {

@@ -2,7 +2,7 @@
 //
 // Queries whose end-to-end latency crosses a configurable threshold are
 // recorded with their canonical form and a per-stage breakdown (queue →
-// coalesce → GEMM → top-k), so tail latency can be attributed to a stage
+// GEMM → top-k), so tail latency can be attributed to a stage
 // instead of guessed at from aggregate histograms. The log is a bounded
 // ring: old entries are evicted, the total count of slow queries lives in
 // the `<prefix>slow_queries` registry counter.
@@ -24,14 +24,13 @@ namespace serve {
 
 /// One slow query: what was asked and where its latency went. Stage times
 /// for batched execution are the query's share of its block (block stage
-/// time / block size); queue and coalesce are zero on the synchronous path.
+/// time / block size); queue is zero on the synchronous path.
 struct SlowQueryRecord {
   std::vector<int> symptom_ids;  // canonical (sorted, deduplicated)
   std::uint64_t key = 0;         // canonical query key
   std::size_t k = 0;             // top-k as scored (clamped to catalog)
   double total_seconds = 0.0;
-  double queue_seconds = 0.0;     // Submit → execution start (async only)
-  double coalesce_seconds = 0.0;  // micro-batch forming window (async only)
+  double queue_seconds = 0.0;     // Submit → batch cut (async only)
   double gemm_seconds = 0.0;      // share of the scoring GEMM
   double topk_seconds = 0.0;      // share of selection + cache insert
   bool cache_hit = false;         // answered from the top-k cache
@@ -41,8 +40,8 @@ struct SlowQueryRecord {
   std::string model_version;      // which publish answered
 
   /// One human-readable line, e.g.
-  /// "id=a1b2 model=demo/v3 total=12.3ms queue=8.1ms coalesce=1.0ms
-  ///  gemm=2.8ms topk=0.4ms k=10 batch=64 symptoms=[1,4,9]".
+  /// "id=a1b2 model=demo/v3 total=12.3ms queue=8.1ms gemm=2.8ms
+  ///  topk=0.4ms k=10 batch=64 symptoms=[1,4,9]".
   std::string ToString() const;
 };
 

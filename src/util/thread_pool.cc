@@ -44,6 +44,11 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
+std::size_t ThreadPool::pending() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return tasks_.size();
+}
+
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;

@@ -36,12 +36,15 @@ class ThreadPool {
 
   std::size_t num_threads() const { return workers_.size(); }
 
+  /// Tasks submitted and not yet started by a worker.
+  std::size_t pending() const;
+
  private:
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable task_available_;
   std::condition_variable all_done_;
   std::size_t in_flight_ = 0;

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <functional>
 #include <future>
 #include <string>
@@ -39,6 +40,7 @@
 #include "src/util/logging.h"
 #include "src/util/random.h"
 #include "src/util/string_util.h"
+#include "tests/test_util.h"
 
 namespace smgcn {
 namespace net {
@@ -70,6 +72,15 @@ std::unique_ptr<serve::ModelManager> MakeManager(
   SMGCN_CHECK(manager.ok());
   SMGCN_CHECK((*manager)->Publish(MakeCheckpoint(), "v1").ok());
   return std::move(*manager);
+}
+
+/// Polls `done` every millisecond for up to five seconds.
+bool WaitFor(const std::function<bool()>& done) {
+  for (int spin = 0; spin < 5000; ++spin) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
 }
 
 // --------------------------------------------------------------------------
@@ -366,6 +377,23 @@ TEST(HttpTest, ParseIntList) {
   EXPECT_FALSE(http::ParseIntList("").ok());
   EXPECT_FALSE(http::ParseIntList("1,,3").ok());
   EXPECT_FALSE(http::ParseIntList("1,x").ok());
+  // Ids outside the int range are rejected by name, never wrapped.
+  const auto wide = http::ParseIntList("4294967297,-4294967295");
+  ASSERT_FALSE(wide.ok());
+  EXPECT_NE(wide.status().message().find("'4294967297'"), std::string::npos)
+      << wide.status();
+  const auto negative = http::ParseIntList("1,-4294967295");
+  ASSERT_FALSE(negative.ok());
+  EXPECT_NE(negative.status().message().find("'-4294967295'"),
+            std::string::npos)
+      << negative.status();
+  EXPECT_FALSE(http::ParseIntList("2147483648").ok());
+  EXPECT_FALSE(http::ParseIntList("-2147483649").ok());
+  EXPECT_FALSE(http::ParseIntList("99999999999999999999999").ok());
+  const auto edges = http::ParseIntList("2147483647,-2147483648");
+  ASSERT_TRUE(edges.ok()) << edges.status();
+  EXPECT_EQ(*edges, (std::vector<int>{std::numeric_limits<int>::max(),
+                                      std::numeric_limits<int>::min()}));
 }
 
 // --------------------------------------------------------------------------
@@ -609,7 +637,7 @@ TEST(ServerTest, HttpEndpoints) {
 TEST(ServerTest, WireSheddingWhenQueueIsFull) {
   serve::ModelManagerOptions mopts;
   mopts.engine_options.max_batch_size = 64;
-  mopts.engine_options.max_wait_ms = 400.0;  // hold the queue
+  mopts.engine_options.num_threads = 2;  // a worker per drainer
   mopts.engine_options.max_queue_depth = 2;
   mopts.engine_options.cache_capacity = 0;
   auto manager = MakeManager(mopts);
@@ -620,6 +648,21 @@ TEST(ServerTest, WireSheddingWhenQueueIsFull) {
   auto client = Client::Connect(copts);
   ASSERT_TRUE(client.ok());
 
+  // Busy drainers hold the queue, pinned through the engine the socket
+  // rides, so the burst backs up.
+  testutil::DrainerPin pin(
+      [&manager](std::function<void(serve::Response)> done) {
+        serve::Request request;
+        request.symptoms = std::vector<int>{1};
+        request.top_k = 3;
+        manager->SubmitRequest(std::move(request), std::move(done));
+      });
+  ASSERT_TRUE(pin.pinned());
+  auto engine = manager->Engine("test-ckpt");
+  ASSERT_TRUE(engine.ok());
+  const auto* shed_counter =
+      obs::Registry::Global().GetCounter((*engine)->obs_prefix() + "shed");
+
   constexpr int kBurst = 10;
   for (int i = 0; i < kBurst; ++i) {
     serve::Request request;
@@ -627,6 +670,11 @@ TEST(ServerTest, WireSheddingWhenQueueIsFull) {
     request.top_k = 5;
     ASSERT_TRUE((*client)->Send(request).ok());
   }
+  // Every frame admitted (two queued, the rest shed) before the drainers
+  // are let go; the queued answers hold the ordered replies until then.
+  ASSERT_TRUE(WaitFor([&] { return shed_counter->value() >= kBurst - 2; }))
+      << shed_counter->value();
+  pin.Release();
   int ok = 0;
   int shed = 0;
   for (int i = 0; i < kBurst; ++i) {
@@ -779,15 +827,6 @@ Result<serve::Response> ReadResponseFrame(int fd) {
   return wire::DecodeResponsePayload(payload.data(), payload.size(), version);
 }
 
-/// Polls `done` every millisecond for up to five seconds.
-bool WaitFor(const std::function<bool()>& done) {
-  for (int spin = 0; spin < 5000; ++spin) {
-    if (done()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return done();
-}
-
 double OpenConnections(const Server& server) {
   return obs::Registry::Global()
       .GetGauge(server.obs_prefix() + "open_connections")
@@ -853,8 +892,17 @@ TEST(ServerLoopTest, SixtyFourFramesInOneWriteAreAnsweredInOrder) {
 
 TEST(ServerLoopTest, PeerResetMidFrameLeavesOtherConnectionsServed) {
   serve::ModelManagerOptions mopts;
-  mopts.engine_options.max_wait_ms = 20.0;  // keep admitted requests queued
+  mopts.engine_options.num_threads = 2;  // a worker per drainer
   auto manager = MakeManager(mopts);
+  // Holds the engine's drainers, pinned through the engine the socket
+  // rides, so admitted requests stay queued until released.
+  const testutil::DrainerPin::Submit pin_submit =
+      [&manager](std::function<void(serve::Response)> done) {
+        serve::Request request;
+        request.symptoms = std::vector<int>{1};
+        request.top_k = 3;
+        manager->SubmitRequest(std::move(request), std::move(done));
+      };
   auto server = Server::Start(manager.get());
   ASSERT_TRUE(server.ok());
   ClientOptions copts;
@@ -873,6 +921,8 @@ TEST(ServerLoopTest, PeerResetMidFrameLeavesOtherConnectionsServed) {
     }
     bytes.insert(bytes.end(), frame.begin(),
                  frame.begin() + static_cast<std::ptrdiff_t>(frame.size() / 2));
+    testutil::DrainerPin pin(pin_submit);
+    ASSERT_TRUE(pin.pinned());
     const std::uint64_t before = BinaryRequests(**server);
     ASSERT_TRUE(WriteAll(fd->get(), bytes.data(), bytes.size(), 2000).ok());
     ASSERT_TRUE(WaitFor([&] { return BinaryRequests(**server) >= before + 4; }));
@@ -882,6 +932,7 @@ TEST(ServerLoopTest, PeerResetMidFrameLeavesOtherConnectionsServed) {
                            sizeof(reset)),
               0);
     fd->Reset();
+    pin.Release();  // the four are answered to a reset peer
     auto response = (*survivor)->Call(RankedRequest(3));
     ASSERT_TRUE(response.ok()) << response.status();
     EXPECT_TRUE(response->ok()) << response->message;

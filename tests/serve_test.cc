@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -28,6 +29,7 @@
 #include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/random.h"
+#include "tests/test_util.h"
 
 namespace smgcn {
 namespace serve {
@@ -450,6 +452,36 @@ double EngineGauge(const ServingEngine& engine, const std::string& name) {
   return obs::Registry::Global().GetGauge(engine.obs_prefix() + name)->value();
 }
 
+// Pins both drainers of `engine` with "pin"-tagged requests (see
+// testutil::DrainerPin): requests submitted until Release() stay queued.
+// The engine needs num_threads >= 2.
+testutil::DrainerPin PinDrainers(ServingEngine* engine) {
+  return testutil::DrainerPin([engine](std::function<void(Response)> done) {
+    Request request = MakeRequest({1}, 3);
+    request.request_id = "pin";
+    engine->SubmitRequest(std::move(request), std::move(done));
+  });
+}
+
+// Runs engine->Shutdown() on a thread of its own and returns that thread
+// once the engine turns new requests away (answered kUnavailable before
+// SubmitRequest returns), so the drain provably starts while the pin still
+// holds everything queued. Probes admitted before that are appended to
+// `probes`; the drain answers them too.
+std::thread BeginShutdown(ServingEngine* engine,
+                          std::vector<std::future<Response>>* probes) {
+  std::thread shutter([engine] { engine->Shutdown(); });
+  while (true) {
+    std::future<Response> probe = engine->SubmitRequest(MakeRequest({1}, 5));
+    if (probe.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+      EXPECT_EQ(probe.get().status, StatusCode::kUnavailable);
+      return shutter;
+    }
+    probes->push_back(std::move(probe));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 TEST(ServingEngineTest, CreateRejectsBadOptions) {
   ServingEngineOptions options;
   options.max_batch_size = 0;
@@ -682,7 +714,6 @@ TEST(ServingEngineTest, SubmitRequestRejectsMalformedImmediately) {
 TEST(ServingEngineTest, ConcurrentSubmitsFromManyThreads) {
   ServingEngineOptions options;
   options.max_batch_size = 16;
-  options.max_wait_ms = 0.5;
   auto engine = MakeEngine(options);
 
   // Ground truth computed via the synchronous path first.
@@ -729,7 +760,6 @@ TEST(ServingEngineTest, RequestPathHammeredUnderParallelKernels) {
   parallel::SetNumThreads(4);
   ServingEngineOptions options;
   options.max_batch_size = 8;
-  options.max_wait_ms = 0.1;
   options.num_threads = 3;
   options.cache_capacity = 6;  // forces eviction churn
   options.cache_shards = 2;
@@ -803,32 +833,69 @@ TEST(ServingEngineTest, RequestPathHammeredUnderParallelKernels) {
 TEST(ServingEngineTest, MicroBatcherCoalesces) {
   ServingEngineOptions options;
   options.max_batch_size = 64;
-  options.max_wait_ms = 20.0;  // generous window so the queue fills up
+  options.num_threads = 2;     // a worker per drainer
   options.cache_capacity = 0;  // force every query through the GEMM
   auto engine = MakeEngine(options);
+  auto pin = PinDrainers(engine.get());
+  ASSERT_TRUE(pin.pinned());
+  const std::uint64_t batches_before = EngineCounter(*engine, "batches");
+  const std::uint64_t rows_before = EngineCounter(*engine, "batched_queries");
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 32; ++i) {
     futures.push_back(
         engine->SubmitRequest(MakeRequest({i % 24, (i + 1) % 24}, 5)));
   }
+  // All 32 queued while both drainers were busy: the first one freed cuts
+  // them as exactly one batch, one GEMM.
+  pin.Release();
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-  // 32 queries must have shared GEMMs: far fewer batches than queries.
-  const std::uint64_t batches = EngineCounter(*engine, "batches");
-  EXPECT_LT(batches, 32u);
-  EXPECT_GT(static_cast<double>(EngineCounter(*engine, "batched_queries")) /
-                static_cast<double>(batches),
-            1.0);
+  EXPECT_EQ(EngineCounter(*engine, "batches") - batches_before, 1u);
+  EXPECT_EQ(EngineCounter(*engine, "batched_queries") - rows_before, 32u);
+}
+
+TEST(ServingEngineTest, PoolBacklogStaysBoundedUnderSustainedOverload) {
+  ServingEngineOptions options;
+  options.max_batch_size = 64;
+  options.num_threads = 2;     // both workers busy draining
+  options.cache_capacity = 0;  // 64 misses: four GEMM blocks, two helpers
+  auto engine = MakeEngine(options);
+  // 200 full batches queued at once, then drained back to back.
+  constexpr int kRequests = 64 * 200;
+  auto pin = PinDrainers(engine.get());
+  ASSERT_TRUE(pin.pinned());
+  std::vector<std::future<Response>> futures;
+  futures.reserve(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    futures.push_back(
+        engine->SubmitRequest(MakeRequest({i % 24, (i / 24) % 24}, 5)));
+  }
+  pin.Release();
+  std::size_t max_backlog = 0;
+  while (futures.back().wait_for(std::chrono::seconds(0)) !=
+         std::future_status::ready) {
+    max_backlog = std::max(max_backlog, engine->pool_backlog());
+    std::this_thread::yield();
+  }
+  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+  // Per drainer: its next pass plus one batch's helpers (at most
+  // num_threads), never a backlog that grows with the overload.
+  EXPECT_LE(max_backlog, 2 * (options.num_threads + 1));
 }
 
 TEST(ServingEngineTest, ShutdownDrainsQueuedQueries) {
   ServingEngineOptions options;
-  options.max_wait_ms = 50.0;  // queries would linger without the drain
+  options.num_threads = 2;  // a worker per drainer
   auto engine = MakeEngine(options);
+  auto pin = PinDrainers(engine.get());
+  ASSERT_TRUE(pin.pinned());
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 20; ++i) {
     futures.push_back(engine->SubmitRequest(MakeRequest({i % 24}, 5)));
   }
-  engine->Shutdown();
+  // Shutdown begins with all 20 still queued; the drain answers them.
+  std::thread shutter = BeginShutdown(engine.get(), &futures);
+  pin.Release();
+  shutter.join();
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
   // After shutdown, new queries fail fast.
   EXPECT_EQ(engine->SubmitRequest(MakeRequest({1}, 5)).get().status,
@@ -926,7 +993,6 @@ TEST(SlowQueryLogTest, SyncQueriesRecordStageBreakdown) {
     EXPECT_GE(record.batch_size, 1u);
     // Sync path: the query never sat in the async queue.
     EXPECT_EQ(record.queue_seconds, 0.0);
-    EXPECT_EQ(record.coalesce_seconds, 0.0);
     EXPECT_FALSE(record.ToString().empty());
   }
   EXPECT_FALSE(records[0].cache_hit);
@@ -942,22 +1008,28 @@ TEST(SlowQueryLogTest, AsyncQueriesRecordQueueAndBatch) {
   options.slow_query_threshold_ms = 1e-6;
   options.cache_capacity = 0;  // force every query through the GEMM
   options.max_batch_size = 64;
-  options.max_wait_ms = 10.0;  // encourage coalescing
+  options.num_threads = 2;  // a worker per drainer
   auto engine = MakeEngine(options);
+  auto pin = PinDrainers(engine.get());
+  ASSERT_TRUE(pin.pinned());
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 16; ++i) {
     futures.push_back(
         engine->SubmitRequest(MakeRequest({i % 24, (i + 3) % 24}, 5)));
   }
+  pin.Release();  // the 16 queued requests are cut as one batch
   for (auto& f : futures) ASSERT_TRUE(f.get().ok());
   engine->Shutdown();
 
-  const auto records = engine->slow_query_log().Snapshot();
+  std::vector<SlowQueryRecord> records;
+  for (SlowQueryRecord& record : engine->slow_query_log().Snapshot()) {
+    if (record.request_id != "pin") records.push_back(std::move(record));
+  }
   ASSERT_EQ(records.size(), 16u);
   bool saw_coalesced_batch = false;
   for (const SlowQueryRecord& record : records) {
-    EXPECT_GE(record.queue_seconds, 0.0);
-    EXPECT_GE(record.coalesce_seconds, 0.0);
+    // Queued behind the pinned drainers until Release().
+    EXPECT_GT(record.queue_seconds, 0.0);
     EXPECT_GE(record.total_seconds,
               record.gemm_seconds + record.topk_seconds);
     if (record.batch_size > 1) saw_coalesced_batch = true;
@@ -1049,22 +1121,26 @@ TEST(ServingEngineSwapTest, PublishCountsInRegistry) {
 
 TEST(ServingEngineSwapTest, InFlightSubmitsFinishOnTheirSnapshot) {
   // Queries submitted before a swap must be answered by the snapshot they
-  // were accepted under, even when the batcher executes them after the
+  // were accepted under, even when a drainer executes them after the
   // publish landed.
   ServingEngineOptions options;
-  options.max_wait_ms = 20.0;  // hold batches long enough to swap mid-flight
   options.max_batch_size = 64;
+  options.num_threads = 2;  // a worker per drainer
   options.cache_capacity = 0;
   auto engine = MakeEngine(options);
 
   const Response expected = engine->Handle(MakeRequest({2, 4}, 5));
   ASSERT_TRUE(expected.ok());
 
+  auto pin = PinDrainers(engine.get());
+  ASSERT_TRUE(pin.pinned());
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 8; ++i) {
     futures.push_back(engine->SubmitRequest(MakeRequest({2, 4}, 5)));
   }
+  // The publish lands while all 8 are still queued.
   ASSERT_TRUE(engine->Publish(MakeCheckpoint(12, 40, 8), "v2").ok());
+  pin.Release();
   for (auto& f : futures) {
     const Response result = f.get();
     ASSERT_TRUE(result.ok()) << result.message;
@@ -1281,10 +1357,24 @@ TEST(RequestSurfaceTest, SyncDeadlineNeverReturnsLateOk) {
   EXPECT_TRUE(response.herb_ids.empty());
 }
 
+TEST(RequestSurfaceTest, UnrepresentableDeadlineMeansNoDeadline) {
+  // A budget the steady clock cannot represent is no deadline, on both
+  // paths — not an overflowed deadline that has already passed.
+  auto engine = MakeEngine();
+  for (const double budget_ms :
+       {1e13, std::numeric_limits<double>::infinity()}) {
+    Request request = MakeRequest({1, 2}, 5);
+    request.deadline_ms = budget_ms;
+    const Response sync = engine->Handle(request);
+    EXPECT_TRUE(sync.ok()) << budget_ms << " ms: " << sync.message;
+    const Response async = engine->SubmitRequest(request).get();
+    EXPECT_TRUE(async.ok()) << budget_ms << " ms: " << async.message;
+    EXPECT_EQ(async.herb_ids, sync.herb_ids);
+  }
+}
+
 TEST(RequestSurfaceTest, AsyncDeadlineExpiredBeforeBatchingIsSwept) {
-  ServingEngineOptions options;
-  options.max_wait_ms = 50.0;  // would hold the batch well past the budget
-  auto engine = MakeEngine(options);
+  auto engine = MakeEngine();
   Request request;
   request.symptoms = std::vector<int>{1, 2};
   request.top_k = 5;
@@ -1295,30 +1385,31 @@ TEST(RequestSurfaceTest, AsyncDeadlineExpiredBeforeBatchingIsSwept) {
 }
 
 TEST(RequestSurfaceTest, FeasibleDeadlineIsServedNotShed) {
-  ServingEngineOptions options;
-  options.max_wait_ms = 5000.0;  // batcher would idle far past the budget...
-  auto engine = MakeEngine(options);
+  auto engine = MakeEngine();
   Request request;
   request.symptoms = std::vector<int>{1, 2};
   request.top_k = 5;
-  request.deadline_ms = 500.0;  // ...but the deadline flushes it early
+  request.deadline_ms = 500.0;
   const auto start = std::chrono::steady_clock::now();
   const Response response = engine->SubmitRequest(std::move(request)).get();
   const double waited =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   EXPECT_TRUE(response.ok()) << response.message;
-  EXPECT_LT(waited, 2.0);  // answered within the budget, not max_wait
+  EXPECT_LT(waited, 2.0);  // answered within the budget
 }
 
 TEST(RequestSurfaceTest, FullQueueShedsWithSheddingStatus) {
   ServingEngineOptions options;
   options.max_batch_size = 64;
-  options.max_wait_ms = 400.0;  // hold the queue so the burst backs up
+  options.num_threads = 2;  // a worker per drainer
   options.max_queue_depth = 2;
   options.cache_capacity = 0;
   auto engine = MakeEngine(options);
 
+  // Busy drainers hold the queue, so the burst backs up.
+  auto pin = PinDrainers(engine.get());
+  ASSERT_TRUE(pin.pinned());
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 10; ++i) {
     Request request;
@@ -1326,6 +1417,7 @@ TEST(RequestSurfaceTest, FullQueueShedsWithSheddingStatus) {
     request.top_k = 5;
     futures.push_back(engine->SubmitRequest(std::move(request)));
   }
+  pin.Release();
   std::size_t ok = 0;
   std::size_t shed = 0;
   for (auto& f : futures) {
@@ -1346,9 +1438,11 @@ TEST(RequestSurfaceTest, FullQueueShedsWithSheddingStatus) {
 TEST(RequestSurfaceTest, ShedRequestsCountInObsRegistry) {
   ServingEngineOptions options;
   options.max_batch_size = 64;
-  options.max_wait_ms = 300.0;
+  options.num_threads = 2;  // a worker per drainer
   options.max_queue_depth = 1;
   auto engine = MakeEngine(options);
+  auto pin = PinDrainers(engine.get());
+  ASSERT_TRUE(pin.pinned());
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 4; ++i) {
     Request request;
@@ -1356,6 +1450,7 @@ TEST(RequestSurfaceTest, ShedRequestsCountInObsRegistry) {
     request.top_k = 3;
     futures.push_back(engine->SubmitRequest(std::move(request)));
   }
+  pin.Release();
   for (auto& f : futures) f.get();
   const auto* shed = obs::Registry::Global().GetCounter(
       engine->obs_prefix() + "shed");
@@ -1364,9 +1459,11 @@ TEST(RequestSurfaceTest, ShedRequestsCountInObsRegistry) {
 
 TEST(RequestSurfaceTest, ShutdownDrainAnswersQueuedRequests) {
   ServingEngineOptions options;
-  options.max_wait_ms = 200.0;
   options.max_batch_size = 64;
+  options.num_threads = 2;  // a worker per drainer
   auto engine = MakeEngine(options);
+  auto pin = PinDrainers(engine.get());
+  ASSERT_TRUE(pin.pinned());
   std::vector<std::future<Response>> futures;
   for (int i = 0; i < 16; ++i) {
     Request request;
@@ -1374,7 +1471,11 @@ TEST(RequestSurfaceTest, ShutdownDrainAnswersQueuedRequests) {
     request.top_k = 5;
     futures.push_back(engine->SubmitRequest(std::move(request)));
   }
-  engine->Shutdown();  // drain: everything admitted is answered
+  // Drain: Shutdown begins with all 16 queued, and everything admitted is
+  // answered.
+  std::thread shutter = BeginShutdown(engine.get(), &futures);
+  pin.Release();
+  shutter.join();
   for (auto& f : futures) {
     EXPECT_TRUE(f.get().ok());
   }
@@ -1478,10 +1579,13 @@ TEST(CallbackAdmissionTest, RejectionsFireOnceBeforeSubmitReturns) {
 TEST(CallbackAdmissionTest, ShedAtQueueDepthFiresOnceBeforeSubmitReturns) {
   ServingEngineOptions options;
   options.max_batch_size = 64;
-  options.max_wait_ms = 400.0;  // hold the queue so it stays full
+  options.num_threads = 2;  // a worker per drainer
   options.max_queue_depth = 1;
   options.cache_capacity = 0;
   auto engine = MakeEngine(options);
+  // Busy drainers hold the queue, so the filler keeps it full.
+  auto pin = PinDrainers(engine.get());
+  ASSERT_TRUE(pin.pinned());
   std::vector<std::shared_ptr<CallbackProbe>> probes;
   auto filler = engine->SubmitRequest(TaggedRequest(std::vector<int>{1}, "fill"));
   EXPECT_EQ(ExpectCallbackMatchesFuture(
@@ -1489,15 +1593,14 @@ TEST(CallbackAdmissionTest, ShedAtQueueDepthFiresOnceBeforeSubmitReturns) {
                 true, &probes)
                 .status,
             StatusCode::kShedding);
+  pin.Release();
   engine->Shutdown();
   EXPECT_TRUE(filler.get().ok());
   for (const auto& probe : probes) EXPECT_EQ(probe->calls.load(), 1);
 }
 
 TEST(CallbackAdmissionTest, ScoredAndExpiredOutcomesFireOnce) {
-  ServingEngineOptions options;
-  options.max_wait_ms = 50.0;
-  auto engine = MakeEngine(options);
+  auto engine = MakeEngine();
   std::vector<std::shared_ptr<CallbackProbe>> probes;
 
   Request ok = TaggedRequest(std::vector<int>{3, 1, 2}, "cb-ok");
@@ -1509,7 +1612,7 @@ TEST(CallbackAdmissionTest, ScoredAndExpiredOutcomesFireOnce) {
   EXPECT_TRUE(served.attribution.has_value());
 
   Request expired = TaggedRequest(std::vector<int>{1, 2}, "cb-expired");
-  expired.deadline_ms = 1e-7;  // gone before the batcher can start it
+  expired.deadline_ms = 1e-7;  // gone before a drainer can start it
   const Response swept = ExpectCallbackMatchesFuture(
       engine.get(), expired, false, &probes, /*compare_message=*/false);
   EXPECT_EQ(swept.status, StatusCode::kDeadlineExceeded);
@@ -1520,12 +1623,11 @@ TEST(CallbackAdmissionTest, ScoredAndExpiredOutcomesFireOnce) {
 }
 
 TEST(CallbackAdmissionTest, DeadlineExpiredDuringScoringFiresOnce) {
-  // The batch starts within the budget (it is cut at 80% of it), but an
-  // all-herb ranking with attribution over a wide catalogue cannot finish
-  // in time, so the post-scoring check answers. A late start on a loaded
-  // host shows up as "before scoring"; the budget then doubles.
+  // The batch starts within the budget (an idle drainer cuts it at once),
+  // but an all-herb ranking with attribution over a wide catalogue cannot
+  // finish in time, so the post-scoring check answers. A late start on a
+  // loaded host shows up as "before scoring"; the budget then doubles.
   ServingEngineOptions options;
-  options.max_wait_ms = 1000.0;
   options.cache_capacity = 0;
   auto engine = ServingEngine::Create(
       MakeCheckpoint(64, 4000, 64, /*with_si_mlp=*/true,

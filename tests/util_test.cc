@@ -473,7 +473,7 @@ TEST(LoggingDeathTest, CheckFailureAborts) {
 }
 
 TEST(ThreadPoolTest, StressManyProducersManyTasks) {
-  // The serving engine submits micro-batches from a batcher thread while
+  // The serving engine submits drainers from client threads while other
   // clients hammer the sync API; this stress mirrors that pattern —
   // several producer threads racing Submit against a worker pool, with
   // interleaved Waits.
