@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -148,6 +149,17 @@ std::vector<Measurement> MeasureBatchedPaired(
   return best;
 }
 
+/// An engine serving `checkpoint` frozen into a snapshot at `precision`.
+Result<std::unique_ptr<serve::ServingEngine>> ServeCheckpoint(
+    core::InferenceCheckpoint checkpoint,
+    const serve::ServingEngineOptions& options,
+    tensor::Precision precision = tensor::Precision::kFloat64) {
+  ASSIGN_OR_RETURN(
+      std::shared_ptr<const serve::ModelSnapshot> snapshot,
+      serve::MakeModelSnapshot(std::move(checkpoint), "v1", precision));
+  return serve::ServingEngine::CreateFromSnapshot(std::move(snapshot), options);
+}
+
 /// Answers one batch through the engine's Request path: dense scores when
 /// `top_k` is 0, ranked top-k otherwise. Every response must be OK.
 void HandleAll(const serve::ServingEngine& engine,
@@ -187,22 +199,20 @@ bool Run() {
   SMGCN_CHECK_OK(recommender.status());
   serve::ServingEngineOptions options;
   options.cache_capacity = 2048;
-  auto engine = serve::ServingEngine::Create(MakeCheckpoint(), options);
+  auto engine = ServeCheckpoint(MakeCheckpoint(), options);
   SMGCN_CHECK_OK(engine.status());
 
   serve::ServingEngineOptions uncached = options;
   uncached.cache_capacity = 0;
-  auto uncached_engine = serve::ServingEngine::Create(MakeCheckpoint(), uncached);
+  auto uncached_engine = ServeCheckpoint(MakeCheckpoint(), uncached);
   SMGCN_CHECK_OK(uncached_engine.status());
 
-  serve::ServingEngineOptions f32_options = uncached;
-  f32_options.precision = tensor::Precision::kFloat32;
-  auto f32_engine = serve::ServingEngine::Create(MakeCheckpoint(), f32_options);
+  auto f32_engine = ServeCheckpoint(MakeCheckpoint(), uncached,
+                                    tensor::Precision::kFloat32);
   SMGCN_CHECK_OK(f32_engine.status());
 
-  serve::ServingEngineOptions s8_options = uncached;
-  s8_options.precision = tensor::Precision::kInt8;
-  auto s8_engine = serve::ServingEngine::Create(MakeCheckpoint(), s8_options);
+  auto s8_engine =
+      ServeCheckpoint(MakeCheckpoint(), uncached, tensor::Precision::kInt8);
   SMGCN_CHECK_OK(s8_engine.status());
 
   const std::vector<std::vector<int>> queries = MakeQueryStream();
@@ -289,8 +299,8 @@ bool Run() {
   // Measured as a paired pair on a bipar-carrying model so attribution does
   // its full work.
   {
-    auto attr_engine = serve::ServingEngine::Create(
-        MakeCheckpoint(/*with_herb_bipar=*/true), uncached);
+    auto attr_engine =
+        ServeCheckpoint(MakeCheckpoint(/*with_herb_bipar=*/true), uncached);
     SMGCN_CHECK_OK(attr_engine.status());
     std::vector<Measurement> pair = MeasureBatchedPaired(
         {"topk_b128_attr_off", "topk_b128_attr_on"}, 128, queries,

@@ -89,8 +89,10 @@ int main(int argc, char** argv) {
   engine_options.max_batch_size = 16;
   // Microscopic threshold so the demo always captures slow-query records.
   engine_options.slow_query_threshold_ms = 1e-3;
-  auto engine = serve::ServingEngine::Create(*std::move(checkpoint),
-                                             engine_options);
+  auto snapshot = serve::MakeModelSnapshot(*std::move(checkpoint), "v1");
+  SMGCN_CHECK_OK(snapshot.status());
+  auto engine = serve::ServingEngine::CreateFromSnapshot(*std::move(snapshot),
+                                                         engine_options);
   SMGCN_CHECK_OK(engine.status());
 
   Rng query_rng(13);

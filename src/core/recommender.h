@@ -32,11 +32,9 @@ class HerbRecommender {
   virtual Result<std::vector<double>> Score(
       const std::vector<int>& symptom_set) const = 0;
 
-  /// Scores a batch of symptom sets. The default implementation loops over
-  /// Score; serving-oriented implementations (serve::EngineRecommender)
-  /// override it to fuse the batch into one GEMM. Fails on the first
-  /// malformed query with its index prefixed to the error message.
-  virtual Result<std::vector<std::vector<double>>> ScoreBatch(
+  /// Scores a batch of symptom sets by looping over Score. Fails on the
+  /// first malformed query with its index prefixed to the error message.
+  Result<std::vector<std::vector<double>>> ScoreBatch(
       const std::vector<std::vector<int>>& symptom_sets) const;
 
   /// Adapts the model to the evaluator's scorer signature. The model must

@@ -4,7 +4,6 @@
 
 // Header-inline on purpose: obs sits below util in the link order, so the
 // escaper must not pull in libsmgcn_util.
-#include "src/util/csv.h"
 
 namespace smgcn {
 namespace obs {
@@ -206,54 +205,6 @@ std::string Registry::ExportPrometheus() const {
         "\n";
     out += prom + "_sum " + FormatDouble(hist->sum()) + "\n";
     out += prom + "_count " + FormatUint(hist->count()) + "\n";
-  }
-  return out;
-}
-
-std::vector<std::string> Registry::CsvHeader() {
-  return {"metric", "type", "value", "count", "mean",
-          "p50",    "p90",  "p99",   "max"};
-}
-
-std::vector<std::vector<std::string>> Registry::CsvRows() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(counters_.size() + gauges_.size() + histograms_.size());
-  for (const auto& [name, counter] : counters_) {
-    rows.push_back({name, "counter", FormatUint(counter->value()), "", "", "",
-                    "", "", ""});
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    rows.push_back(
-        {name, "gauge", FormatDouble(gauge->value()), "", "", "", "", "", ""});
-  }
-  for (const auto& [name, hist] : histograms_) {
-    rows.push_back({name, "histogram", FormatDouble(hist->sum()),
-                    FormatUint(hist->count()), FormatDouble(hist->mean()),
-                    FormatDouble(hist->Percentile(0.50)),
-                    FormatDouble(hist->Percentile(0.90)),
-                    FormatDouble(hist->Percentile(0.99)),
-                    FormatDouble(hist->max())});
-  }
-  return rows;
-}
-
-std::string Registry::ExportCsv() const {
-  std::string out;
-  const auto header = CsvHeader();
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (i > 0) out += ",";
-    out += csv::EscapeField(header[i]);
-  }
-  out += "\n";
-  for (const auto& row : CsvRows()) {
-    // Instrument names come from callers (often embedding a model or scope
-    // name), so commas/quotes/newlines DO reach here; escape every field.
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out += ",";
-      out += csv::EscapeField(row[i]);
-    }
-    out += "\n";
   }
   return out;
 }

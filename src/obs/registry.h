@@ -18,8 +18,6 @@
 //   * ExportText        — human-readable one-line-per-instrument dump
 //   * ExportPrometheus  — Prometheus text exposition (counters, gauges,
 //                         and histograms as summaries with p50/p90/p99)
-//   * ExportCsv / CsvHeader / CsvRows — CSV rows compatible with the
-//     bench_results/ dashboards
 //
 // All methods are thread-safe. Use Global() for the process-wide registry;
 // separate Registry instances are for tests that need isolation.
@@ -71,13 +69,6 @@ class Registry {
   /// sanitised (every non-[a-zA-Z0-9_] becomes '_'); histograms export as
   /// summaries with quantile 0.5/0.9/0.99 plus _sum and _count.
   std::string ExportPrometheus() const;
-
-  /// CSV snapshot: CsvHeader() columns, one CsvRows() row per instrument
-  /// (counters/gauges leave the distribution columns empty). ExportCsv()
-  /// renders header + rows as one string.
-  static std::vector<std::string> CsvHeader();
-  std::vector<std::vector<std::string>> CsvRows() const;
-  std::string ExportCsv() const;
 
   /// Zeroes every instrument, keeping them registered (pointers stay
   /// valid). For tests and benchmark setup.

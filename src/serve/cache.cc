@@ -6,11 +6,20 @@
 namespace smgcn {
 namespace serve {
 
-ShardedTopKCache::ShardedTopKCache(std::size_t capacity, std::size_t num_shards,
+namespace {
+/// Shards only pay once each holds enough entries that per-shard LRU order
+/// tracks global LRU order; below that, keys that collide in one shard
+/// evict each other while the rest of the budget sits idle.
+constexpr std::size_t kMaxShards = 8;
+constexpr std::size_t kMinEntriesPerShard = 64;
+}  // namespace
+
+ShardedTopKCache::ShardedTopKCache(std::size_t capacity,
                                    obs::Registry* registry,
                                    std::string prefix) {
-  num_shards = std::max<std::size_t>(num_shards, 1);
   capacity = std::max<std::size_t>(capacity, 1);
+  const std::size_t num_shards = std::clamp<std::size_t>(
+      capacity / kMinEntriesPerShard, 1, kMaxShards);
   // Never let sharding shrink the requested budget to zero per shard.
   per_shard_capacity_ = (capacity + num_shards - 1) / num_shards;
   shards_ = std::vector<Shard>(num_shards);

@@ -1,9 +1,12 @@
 // Sharded LRU cache over canonical query keys, holding top-k herb results.
 //
-// Keys are the 64-bit canonical query hashes (with the requested k mixed
-// in); each entry also stores the canonical id list and k so a hash
-// collision reads as a miss instead of serving another query's herbs.
-// Sharding keeps the lock fine-grained under concurrent serving traffic.
+// Keys are the 64-bit canonical query hashes (the serving engine mixes in
+// the requested k and the snapshot salt); each entry also stores the
+// canonical id list and k so a hash collision reads as a miss instead of
+// serving another query's herbs. Sharding keeps the lock fine-grained under
+// concurrent serving traffic; the shard count is derived from the capacity,
+// so a small cache is one exact LRU instead of shards too small to hold
+// the keys that happen to collide in them.
 //
 // Effectiveness counters are smgcn::obs registry instruments — by default
 // under a unique auto-allocated `serve.cacheN.` scope, or under whatever
@@ -37,11 +40,12 @@ namespace serve {
 /// Thread-safe sharded LRU cache: canonical query key -> top-k herb ids.
 class ShardedTopKCache {
  public:
-  /// `capacity` is the total entry budget, split evenly across
-  /// `num_shards` (both clamped to at least 1). Counters are created in
-  /// `registry` (the global registry when null) under `prefix` (a unique
-  /// "serve.cacheN." scope when empty).
-  explicit ShardedTopKCache(std::size_t capacity, std::size_t num_shards = 8,
+  /// `capacity` is the total entry budget (clamped to at least 1), split
+  /// evenly across up to 8 shards of at least 64 entries each: 8 x 512 at
+  /// the engine's default 4096, one shard below 128. Counters are created
+  /// in `registry` (the global registry when null) under `prefix` (a
+  /// unique "serve.cacheN." scope when empty).
+  explicit ShardedTopKCache(std::size_t capacity,
                             obs::Registry* registry = nullptr,
                             std::string prefix = {});
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <utility>
 
 #include "src/obs/registry.h"
 #include "src/obs/span.h"
 #include "src/obs/trace.h"
-#include "src/util/logging.h"
 #include "src/util/parallel.h"
 #include "src/util/string_util.h"
 
@@ -24,6 +22,9 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 /// Rows per parallel work unit; a multiple of the store kernel's query block
 /// so every sub-batch still amortises herb-matrix streaming.
 constexpr std::size_t kScoreBlockRows = 16;
+
+/// Slow-query records retained per engine (bounded ring, oldest evicted).
+constexpr std::size_t kSlowQueryLogCapacity = 128;
 
 /// Drainers allowed at once: one batch scoring while the next is cut, enough
 /// to keep the pool busy without racing ahead of it. Arrivals beyond what
@@ -100,63 +101,6 @@ Result<std::shared_ptr<const ModelSnapshot>> MakeModelSnapshotFromArtifact(
       std::move(store), std::move(version), NextSnapshotSalt());
 }
 
-void ServingEngine::ParallelBlocks(
-    std::size_t n, std::size_t block,
-    const std::function<void(std::size_t, std::size_t)>& fn) const {
-  const std::size_t num_blocks = block == 0 ? 0 : (n + block - 1) / block;
-  // With one block, or no workers to hand blocks to, the fan-out machinery is
-  // pure overhead — run the whole range inline on the caller.
-  if (num_blocks <= 1 || pool_->num_threads() <= 1) {
-    if (n > 0) fn(0, n);
-    return;
-  }
-  // Shared by the caller and any helpers; helpers arriving after the caller
-  // has returned find no blocks left and never touch fn (whose captures may
-  // reference the caller's dead stack frame by then).
-  struct State {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::size_t num_blocks = 0;
-    std::size_t block = 0;
-    std::size_t n = 0;
-    std::function<void(std::size_t, std::size_t)> fn;
-    std::mutex mu;
-    std::condition_variable cv;
-  };
-  auto state = std::make_shared<State>();
-  state->num_blocks = num_blocks;
-  state->block = block;
-  state->n = n;
-  state->fn = fn;
-  const auto work = [](const std::shared_ptr<State>& s) {
-    while (true) {
-      const std::size_t b = s->next.fetch_add(1);
-      if (b >= s->num_blocks) return;
-      s->fn(b * s->block, std::min((b + 1) * s->block, s->n));
-      if (s->done.fetch_add(1) + 1 == s->num_blocks) {
-        std::lock_guard<std::mutex> lock(s->mu);
-        s->cv.notify_all();
-      }
-    }
-  };
-  const std::size_t helpers = std::min(num_blocks - 1, pool_->num_threads());
-  for (std::size_t h = 0; h < helpers; ++h) {
-    pool_->Submit([state, work] { work(state); });
-  }
-  work(state);
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock,
-                 [&] { return state->done.load() == state->num_blocks; });
-}
-
-Result<std::unique_ptr<ServingEngine>> ServingEngine::Create(
-    core::InferenceCheckpoint checkpoint, ServingEngineOptions options) {
-  ASSIGN_OR_RETURN(std::shared_ptr<const ModelSnapshot> snapshot,
-                   MakeModelSnapshot(std::move(checkpoint),
-                                     options.initial_version, options.precision));
-  return CreateFromSnapshot(std::move(snapshot), std::move(options));
-}
-
 Result<std::unique_ptr<ServingEngine>> ServingEngine::CreateFromSnapshot(
     std::shared_ptr<const ModelSnapshot> snapshot,
     ServingEngineOptions options) {
@@ -181,12 +125,10 @@ ServingEngine::ServingEngine(std::shared_ptr<const ModelSnapshot> snapshot,
       options_(options),
       obs_prefix_(obs::Registry::Global().NextScopeId("serve.engine")),
       cache_(std::max<std::size_t>(options.cache_capacity, 1),
-             options.cache_shards, &obs::Registry::Global(),
-             obs_prefix_ + "cache."),
+             &obs::Registry::Global(), obs_prefix_ + "cache."),
       cache_enabled_(options.cache_capacity > 0),
-      slow_log_(options.slow_query_threshold_ms / 1e3,
-                options.slow_query_log_capacity, &obs::Registry::Global(),
-                obs_prefix_),
+      slow_log_(options.slow_query_threshold_ms / 1e3, kSlowQueryLogCapacity,
+                &obs::Registry::Global(), obs_prefix_),
       queries_(obs::Registry::Global().GetCounter(obs_prefix_ + "queries")),
       latency_(obs::Registry::Global().GetHistogram(obs_prefix_ +
                                                     "latency.seconds")),
@@ -214,14 +156,6 @@ ServingEngine::ServingEngine(std::shared_ptr<const ModelSnapshot> snapshot,
       pool_(std::make_unique<ThreadPool>(options.num_threads, "serve.worker")) {}
 
 ServingEngine::~ServingEngine() { Shutdown(); }
-
-Status ServingEngine::Publish(core::InferenceCheckpoint checkpoint,
-                              std::string version) {
-  ASSIGN_OR_RETURN(std::shared_ptr<const ModelSnapshot> snapshot,
-                   MakeModelSnapshot(std::move(checkpoint), std::move(version),
-                                     options_.precision));
-  return PublishSnapshot(std::move(snapshot));
-}
 
 Status ServingEngine::PublishSnapshot(
     std::shared_ptr<const ModelSnapshot> snapshot) {
@@ -256,24 +190,33 @@ void ServingEngine::RecommendCanonical(
     std::size_t k, Response* out, std::vector<QueryStages>* stages) const {
   if (stages != nullptr) stages->assign(queries.size(), QueryStages{});
   // Rows still needing the GEMM: every query in dense mode, the cache
-  // misses in ranked mode. Salting the key with the snapshot scopes an
+  // misses in ranked mode. Each key mixes in k, so one symptom set asked at
+  // several k holds one entry per k, and the snapshot salt, which scopes an
   // entry to its publish: after a swap, old-version entries never match.
+  const bool cached = k > 0 && cache_enabled_;
+  std::vector<std::uint64_t> keys;
+  if (cached) keys.reserve(queries.size());
   std::vector<std::size_t> misses;
   misses.reserve(queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (k > 0 && cache_enabled_ &&
-        cache_.Lookup(CombineKey(queries[i].key, snap.salt),
-                      queries[i].symptom_ids, k, &out[i].herb_ids)) {
-      if (stages != nullptr) (*stages)[i].cache_hit = true;
-      continue;
+    if (cached) {
+      keys.push_back(CombineKey(CombineKey(queries[i].key, k), snap.salt));
+      if (cache_.Lookup(keys[i], queries[i].symptom_ids, k,
+                        &out[i].herb_ids)) {
+        if (stages != nullptr) (*stages)[i].cache_hit = true;
+        continue;
+      }
     }
     misses.push_back(i);
   }
   if (misses.empty()) return;
-  ParallelBlocks(
-      misses.size(), kScoreBlockRows,
-      [this, &snap, &misses, &queries, out, stages, k](std::size_t begin,
-                                                       std::size_t end) {
+  // With one worker, that worker is usually the drainer running this very
+  // batch, so a helper task could only queue behind it: score inline.
+  parallel::RunBlocks(
+      pool_->num_threads() > 1 ? pool_.get() : nullptr, misses.size(),
+      kScoreBlockRows,
+      [this, &snap, &misses, &queries, &keys, out, stages, k, cached](
+          std::size_t begin, std::size_t end) {
         obs::ScopedSpan gemm_span(gemm_span_, gemm_trace_id_);
         // A block spanning every query (one block, no cache hits) scores
         // `queries` in place; any other block gathers its rows first.
@@ -299,9 +242,8 @@ void ServingEngine::RecommendCanonical(
         for (std::size_t m = begin; k > 0 && m < end; ++m) {
           Response& resp = out[misses[m]];
           resp.herb_ids = scores.TopK(m - begin, k);
-          if (cache_enabled_) {
-            const CanonicalQuery& q = queries[misses[m]];
-            cache_.Insert(CombineKey(q.key, snap.salt), q.symptom_ids, k,
+          if (cached) {
+            cache_.Insert(keys[misses[m]], queries[misses[m]].symptom_ids, k,
                           resp.herb_ids);
           }
         }
@@ -367,8 +309,6 @@ Status ServingEngine::Admit(const Request& request,
   out->k = std::min(request.top_k, out->snapshot->store.num_herbs());
   auto query =
       Canonicalize(request.symptoms, out->snapshot->store.num_symptoms());
-  // The raw canonicalize message, unprefixed: EngineRecommender::ScoreBatch
-  // adds its "query %zu:" prefix from its own loop index.
   if (!query.ok()) return query.status();
   out->query = *std::move(query);
   // A budget the steady clock cannot represent from `now` (1e13 ms, inf) is
@@ -640,50 +580,6 @@ void ServingEngine::Shutdown() {
   // No drainer starts after this point, and the running ones empty the
   // queue before they finish.
   pool_->Wait();
-}
-
-EngineRecommender::EngineRecommender(const ServingEngine* engine)
-    : engine_(engine) {
-  SMGCN_CHECK(engine != nullptr);
-}
-
-std::string EngineRecommender::name() const {
-  return engine_->store().model_name();
-}
-
-Status EngineRecommender::Fit(const data::Corpus&) {
-  return Status::FailedPrecondition(
-      "EngineRecommender serves a trained checkpoint; it cannot be fitted");
-}
-
-Result<std::vector<double>> EngineRecommender::Score(
-    const std::vector<int>& symptom_set) const {
-  ASSIGN_OR_RETURN(auto batch, ScoreBatch({symptom_set}));
-  return std::move(batch.front());
-}
-
-Result<std::vector<std::vector<double>>> EngineRecommender::ScoreBatch(
-    const std::vector<std::vector<int>>& symptom_sets) const {
-  // Rides the Request surface in dense-score mode. HerbRecommender's Result
-  // contract — the first invalid query fails the batch, named by a
-  // "query %zu:" prefix — is built here from the per-request errors.
-  std::vector<Request> requests(symptom_sets.size());
-  for (std::size_t i = 0; i < symptom_sets.size(); ++i) {
-    requests[i].symptoms = symptom_sets[i];
-    requests[i].top_k = 0;
-  }
-  std::vector<Response> responses = engine_->HandleBatch(requests);
-  std::vector<std::vector<double>> out;
-  out.reserve(responses.size());
-  for (std::size_t i = 0; i < responses.size(); ++i) {
-    if (!responses[i].ok()) {
-      return ToInternalStatus(
-          responses[i].status,
-          StrFormat("query %zu: %s", i, responses[i].message.c_str()));
-    }
-    out.push_back(std::move(responses[i].scores));
-  }
-  return out;
 }
 
 }  // namespace serve

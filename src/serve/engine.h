@@ -1,4 +1,4 @@
-// ServingEngine: high-throughput serving on top of an InferenceCheckpoint.
+// ServingEngine: high-throughput serving of immutable model snapshots.
 //
 // The engine has one serving surface, the serve::Request / serve::Response
 // pair (src/serve/request.h), shared verbatim with the wire protocol, and
@@ -38,13 +38,25 @@
 // canonical query: the kernels process batch rows independently in a fixed
 // order (see EmbeddingStore).
 //
+// Construction: callers freeze a checkpoint or artifact into a snapshot
+// (MakeModelSnapshot / MakeModelSnapshotFromArtifact, which pick the scoring
+// precision) and hand it to CreateFromSnapshot; there is no other way in.
+//
+// Threading: a batch's misses are scored in 16-row blocks through
+// parallel::RunBlocks on the engine's own pool, the calling thread claiming
+// blocks too. Blocks run inside a parallel region, so the kernels nested in
+// them (the f64 SI-MLP MatMul) run inline on the block's thread instead of
+// crossing into the process-wide pool, and every fan-out counts under the
+// parallel.* instruments.
+//
 // Hot swap: the engine serves from an immutable ModelSnapshot held through
-// a shared_ptr. Publish() atomically installs a new snapshot (RCU-style);
-// every query grabs the pointer once on entry and finishes on that version
-// even if a swap lands mid-flight, so responses are never mixed-version and
-// a swap never pauses traffic. Cache entries are keyed with the snapshot's
-// unique salt, so a swap implicitly invalidates stale top-k results without
-// flushing anything (superseded entries age out through LRU).
+// a shared_ptr. PublishSnapshot() atomically installs a new snapshot
+// (RCU-style); every query grabs the pointer once on entry and finishes on
+// that version even if a swap lands mid-flight, so responses are never
+// mixed-version and a swap never pauses traffic. Cache entries are keyed
+// with the snapshot's unique salt, so a swap implicitly invalidates stale
+// top-k results without flushing anything (superseded entries age out
+// through LRU).
 //
 // Shutdown() drains: queued requests are still answered by the drainers,
 // and later SubmitRequests are answered kUnavailable. The destructor shuts
@@ -62,7 +74,6 @@
 #include <vector>
 
 #include "src/core/checkpoint.h"
-#include "src/core/recommender.h"
 #include "src/obs/metrics.h"
 #include "src/serve/cache.h"
 #include "src/serve/embedding_store.h"
@@ -128,18 +139,17 @@ struct ServingEngineOptions {
   /// configuration (parallel::GetNumThreads()); parallel::SetNumThreads is
   /// the knob to turn. See docs/API_TOUR.md §Parallelism.
   std::size_t num_threads = 0;
-  /// Total top-k cache entries; 0 disables caching entirely.
+  /// Total top-k cache entries; 0 disables caching entirely. The cache
+  /// derives its shard count from this (8 shards at the default, one for
+  /// small caches; see ShardedTopKCache).
   std::size_t cache_capacity = 4096;
-  std::size_t cache_shards = 8;
   /// Latency threshold for the slow-query log in milliseconds: ranked
   /// requests at or above it are recorded with a per-stage breakdown (queue
   /// → GEMM → top-k; queue is 0 for HandleBatch)
   /// and the clamped k; see slow_query_log(). 0 (the default) disables the
-  /// log.
+  /// log. The log retains the latest 128 records; the eviction-independent
+  /// count lives in `<obs_prefix>slow_queries`.
   double slow_query_threshold_ms = 0.0;
-  /// Retained slow-query entries (bounded ring, oldest evicted); the
-  /// eviction-independent count lives in `<obs_prefix>slow_queries`.
-  std::size_t slow_query_log_capacity = 128;
   /// Admission bound for the async queue (SubmitRequest): when
   /// > 0, a request arriving while this many are already queued is
   /// load-shed immediately with kShedding (`<prefix>shed` counts them)
@@ -147,32 +157,16 @@ struct ServingEngineOptions {
   /// disables shedding; network front-ends should set it (net::Server
   /// defaults it to 256).
   std::size_t max_queue_depth = 0;
-  /// Semantic version assigned to the checkpoint passed to Create() (the
-  /// snapshot-based factory carries its own version).
-  std::string initial_version = "v1";
-  /// Scoring precision for snapshots the engine builds itself (Create and
-  /// Publish from a checkpoint). kFloat64 is the bit-exact reference;
-  /// kFloat32 halves the store footprint and scores through the
-  /// runtime-dispatched SIMD kernels; kInt8 quantizes the embeddings per
-  /// row for ~1/8 the footprint and scores through the int8 kernels.
-  /// Snapshot-based entry points (CreateFromSnapshot / PublishSnapshot)
-  /// keep the precision their snapshot was built with.
-  tensor::Precision precision = tensor::Precision::kFloat64;
 };
 
-/// Concurrent batched inference engine over a trained checkpoint.
+/// Concurrent batched inference engine over published model snapshots.
 /// Thread-safe: every public method may be called from any thread,
-/// including Publish concurrently with queries.
+/// including PublishSnapshot concurrently with queries.
 class ServingEngine {
  public:
-  /// Validates the checkpoint and options and starts the worker threads.
-  /// The checkpoint becomes the engine's initial snapshot under
-  /// options.initial_version.
-  static Result<std::unique_ptr<ServingEngine>> Create(
-      core::InferenceCheckpoint checkpoint, ServingEngineOptions options = {});
-
-  /// As Create, but starts from an already-built snapshot (the
-  /// ModelManager's publish/rollback path).
+  /// Validates the options and starts the worker threads, serving
+  /// `snapshot` (at the precision it was built with) until the next
+  /// PublishSnapshot.
   static Result<std::unique_ptr<ServingEngine>> CreateFromSnapshot(
       std::shared_ptr<const ModelSnapshot> snapshot,
       ServingEngineOptions options = {});
@@ -181,13 +175,10 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  /// Atomically swaps serving to `checkpoint` under `version`. In-flight
-  /// queries finish on the snapshot they grabbed; queries arriving after
-  /// Publish returns score on the new version. Fails (leaving the current
-  /// version serving) when the checkpoint is invalid.
-  Status Publish(core::InferenceCheckpoint checkpoint, std::string version);
-
-  /// As Publish, for a pre-built snapshot. Reusing a snapshot object that
+  /// Atomically swaps serving to `snapshot`. In-flight queries finish on
+  /// the snapshot they grabbed; queries arriving after PublishSnapshot
+  /// returns score on the new version. Fails (leaving the current version
+  /// serving) when `snapshot` is null. Reusing a snapshot object that
   /// served before (rollback) restores its still-resident cache entries.
   Status PublishSnapshot(std::shared_ptr<const ModelSnapshot> snapshot);
 
@@ -219,7 +210,7 @@ class ServingEngine {
   /// kShedding when the admission queue is full (max_queue_depth > 0),
   /// kUnavailable once the engine is shut down, kDeadlineExceeded when the
   /// budget expired before scoring. The request is bound to the snapshot
-  /// active at submit time and answered from it even if a Publish lands
+  /// active at submit time and answered from it even if a PublishSnapshot lands
   /// before the batch executes.
   std::future<Response> SubmitRequest(Request request);
 
@@ -252,8 +243,8 @@ class ServingEngine {
   const SlowQueryLog& slow_query_log() const { return slow_log_; }
 
   /// Convenience view of the active snapshot's store. The reference stays
-  /// valid until the NEXT Publish (the engine pins the snapshot it serves
-  /// from); callers that outlive a swap must hold Snapshot() instead.
+  /// valid until the NEXT PublishSnapshot (the engine pins the snapshot it
+  /// serves from); callers that outlive a swap must hold Snapshot() instead.
   const EmbeddingStore& store() const;
   const ServingEngineOptions& options() const { return options_; }
 
@@ -284,14 +275,6 @@ class ServingEngine {
   ServingEngine(std::shared_ptr<const ModelSnapshot> snapshot,
                 ServingEngineOptions options);
 
-  /// Runs `fn(begin, end)` over [0, n) in blocks of `block` rows, fanned
-  /// out across the thread pool with the calling thread participating.
-  /// Callable from pool workers themselves (the drainers): the caller
-  /// claims blocks too, so progress never depends on free workers.
-  void ParallelBlocks(
-      std::size_t n, std::size_t block,
-      const std::function<void(std::size_t, std::size_t)>& fn) const;
-
   /// Per-query stage attribution for the slow-query log. Batched stages
   /// are shares: block stage time divided by the block's query count.
   struct QueryStages {
@@ -314,10 +297,10 @@ class ServingEngine {
                PendingRequest* out) const;
 
   /// Scores one group of canonical queries that share a snapshot and k:
-  /// cache lookaside in ranked mode (keys salted with the snapshot), one
-  /// ParallelBlocks GEMM over the rest, then top-k off the store's score
-  /// block + cache insert (k >= 1) or the rows widened to double (k == 0,
-  /// inside the serve.gemm span). Query i's payload lands
+  /// cache lookaside in ranked mode (keys mixed with k and salted with the
+  /// snapshot), one parallel::RunBlocks GEMM over the rest, then top-k off
+  /// the store's score block + cache insert (k >= 1) or the rows widened to
+  /// double (k == 0, inside the serve.gemm span). Query i's payload lands
   /// in out[i].herb_ids or out[i].scores; counts one `batches` per call
   /// that scored anything. `stages`, when non-null, is resized to
   /// queries.size() and filled with per-query attribution (only worth the
@@ -383,27 +366,6 @@ class ServingEngine {
   /// max_queue_depth can shed it — instead of in the pool's unbounded task
   /// queue, where it would be invisible to admission control.
   std::size_t drainers_ = 0;
-};
-
-/// Adapts a ServingEngine to the HerbRecommender interface so evaluators and
-/// examples can ride the batched GEMM path transparently: ScoreBatch is
-/// overridden to fuse the whole batch into one engine call instead of the
-/// base class's per-query loop. Fit is a FailedPrecondition, as for
-/// CheckpointRecommender. Does not own the engine.
-class EngineRecommender : public core::HerbRecommender {
- public:
-  /// `engine` must outlive this recommender.
-  explicit EngineRecommender(const ServingEngine* engine);
-
-  std::string name() const override;
-  Status Fit(const data::Corpus& train) override;
-  Result<std::vector<double>> Score(
-      const std::vector<int>& symptom_set) const override;
-  Result<std::vector<std::vector<double>>> ScoreBatch(
-      const std::vector<std::vector<int>>& symptom_sets) const override;
-
- private:
-  const ServingEngine* engine_;
 };
 
 }  // namespace serve

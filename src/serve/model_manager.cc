@@ -64,9 +64,8 @@ Result<PublishReceipt> ModelManager::Install(
     }
   }
   if (entry.engine == nullptr) {
-    ServingEngineOptions engine_options = options_.engine_options;
-    engine_options.initial_version = version;
-    auto engine = ServingEngine::CreateFromSnapshot(snapshot, engine_options);
+    auto engine =
+        ServingEngine::CreateFromSnapshot(snapshot, options_.engine_options);
     if (!engine.ok()) {
       models_.erase(model);
       return engine.status();

@@ -57,8 +57,9 @@ namespace serve {
 struct ModelManagerOptions {
   /// Versions pinned per model for rollback (at least 1 — the active one).
   std::size_t retain_versions = 3;
-  /// Applied to every hosted engine. initial_version is ignored (versions
-  /// come from Publish).
+  /// Applied to every hosted engine. Versions and scoring precision come
+  /// from each published snapshot: Publish serves f64, PublishArtifact the
+  /// artifact's stored precision.
   ServingEngineOptions engine_options;
 };
 

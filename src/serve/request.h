@@ -9,7 +9,7 @@
 //   * top_k >= 1  — ranked mode: Response.herb_ids holds the top-k herb
 //     ids (k clamped to the herb catalog). The top-k cache applies.
 //   * top_k == 0  — dense mode: Response.scores holds one score per herb
-//     in catalog order (what EngineRecommender and evaluators consume).
+//     in catalog order (what evaluators consume).
 //     Synchronous paths only; the micro-batcher is ranked-only.
 #ifndef SMGCN_SERVE_REQUEST_H_
 #define SMGCN_SERVE_REQUEST_H_

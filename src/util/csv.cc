@@ -6,6 +6,22 @@
 
 namespace smgcn {
 
+namespace {
+/// RFC-4180 escaping: fields with CSV specials (commas, quotes, CR/LF) are
+/// wrapped in double quotes with embedded quotes doubled; clean fields pass
+/// through untouched.
+std::string EscapeField(const std::string& field) {
+  if (field.find_first_of(",\"\n\r") == std::string::npos) return field;
+  std::string out = "\"";
+  for (char c : field) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+}  // namespace
+
 CsvWriter::CsvWriter(std::vector<std::string> header) : header_(std::move(header)) {}
 
 Status CsvWriter::AddRow(std::vector<std::string> row) {
@@ -30,7 +46,7 @@ std::string CsvWriter::ToString() const {
   auto append_row = [&out](const std::vector<std::string>& row) {
     for (std::size_t i = 0; i < row.size(); ++i) {
       if (i > 0) out += ',';
-      out += csv::EscapeField(row[i]);
+      out += EscapeField(row[i]);
     }
     out += '\n';
   };

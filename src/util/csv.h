@@ -9,32 +9,9 @@
 #include "src/util/status.h"
 
 namespace smgcn {
-namespace csv {
-
-/// True when `field` cannot be emitted bare (commas, quotes, CR/LF).
-inline bool NeedsQuoting(const std::string& field) {
-  return field.find_first_of(",\"\n\r") != std::string::npos;
-}
-
-/// RFC-4180 escaping: fields with CSV specials are wrapped in double quotes
-/// with embedded quotes doubled; clean fields pass through untouched.
-/// Header-inline so exporters below util in the link order (obs) can share
-/// the one definition with CsvWriter.
-inline std::string EscapeField(const std::string& field) {
-  if (!NeedsQuoting(field)) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace csv
 
 /// Accumulates rows in memory and writes an RFC-4180-ish CSV file. Fields
-/// containing commas, quotes or newlines are quoted (csv::EscapeField).
+/// containing commas, quotes or newlines are quoted, with quotes doubled.
 class CsvWriter {
  public:
   explicit CsvWriter(std::vector<std::string> header);

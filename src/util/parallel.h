@@ -13,15 +13,20 @@
 // kernel) run inline on the current thread, so kernels never deadlock on
 // pool capacity and never oversubscribe.
 //
+// RunBlocks is the claim loop underneath: ParallelFor runs it on the
+// process-wide pool, and the serving engine runs it on its own pool. Either
+// way the blocks execute inside a parallel region, so kernels nested in
+// them run inline.
+//
 // SetNumThreads is the one process-wide parallelism knob: training and the
 // tensor/graph kernels read it, and serving pools size themselves from
 // GetNumThreads(). See docs/API_TOUR.md §Parallelism.
 //
 // The layer reports into obs::Registry::Global(): counters
 // parallel.inline_runs / parallel.fanout_runs / parallel.tasks_dispatched /
-// parallel.chunks_total / parallel.chunks_stolen and gauge
-// parallel.workers. Recording is a relaxed atomic increment, so the inline
-// fast path stays cheap.
+// parallel.chunks_total / parallel.chunks_stolen, counted per RunBlocks call
+// whichever pool it runs on, and gauge parallel.workers. Recording is a
+// relaxed atomic increment, so the inline fast path stays cheap.
 #ifndef SMGCN_UTIL_PARALLEL_H_
 #define SMGCN_UTIL_PARALLEL_H_
 
@@ -29,6 +34,9 @@
 #include <functional>
 
 namespace smgcn {
+
+class ThreadPool;
+
 namespace parallel {
 
 /// Sets the process-wide worker count used by ParallelFor. 0 means
@@ -51,8 +59,19 @@ std::size_t HardwareThreads();
 void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
                  const std::function<void(std::size_t, std::size_t)>& fn);
 
-/// True while the current thread is executing inside a ParallelFor chunk
-/// (used by kernels to decide against nested fan-out; exposed for tests).
+/// Runs fn(block_begin, block_end) over [0, n) in blocks of `block` indices
+/// (0 is treated as 1), every block exactly once. The calling thread claims
+/// blocks alongside up to min(blocks - 1, pool->num_threads()) helper tasks
+/// on `pool`, so progress never depends on a free worker: the caller may be
+/// one of `pool`'s own workers. With a null `pool` or a single block, fn runs
+/// once over the whole range on the calling thread. Every call of fn runs
+/// inside a parallel region.
+void RunBlocks(ThreadPool* pool, std::size_t n, std::size_t block,
+               const std::function<void(std::size_t, std::size_t)>& fn);
+
+/// True while the current thread is executing inside a ParallelFor chunk or
+/// a RunBlocks block (used by kernels to decide against nested fan-out;
+/// exposed for tests).
 bool InParallelRegion();
 
 }  // namespace parallel

@@ -683,9 +683,15 @@ TEST(PrecisionParityTest, EngineEndToEndTopKAgreement) {
     core::InferenceCheckpoint ckpt = ParityCheckpoint(48, 257, 16, 907);
     serve::ServingEngineOptions options;
     options.cache_capacity = 0;  // every request exercises the GEMM
-    auto f64_engine = serve::ServingEngine::Create(ckpt, options);
-    options.precision = Precision::kFloat32;
-    auto f32_engine = serve::ServingEngine::Create(ckpt, options);
+    auto f64_snapshot = serve::MakeModelSnapshot(ckpt, "v1");
+    auto f32_snapshot =
+        serve::MakeModelSnapshot(ckpt, "v1", Precision::kFloat32);
+    ASSERT_TRUE(f64_snapshot.ok());
+    ASSERT_TRUE(f32_snapshot.ok());
+    auto f64_engine =
+        serve::ServingEngine::CreateFromSnapshot(*f64_snapshot, options);
+    auto f32_engine =
+        serve::ServingEngine::CreateFromSnapshot(*f32_snapshot, options);
     ASSERT_TRUE(f64_engine.ok());
     ASSERT_TRUE(f32_engine.ok());
 

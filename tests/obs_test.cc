@@ -1,7 +1,7 @@
 // Tests for src/obs: instrument semantics (including concurrent exactness
 // — counts are never lost under contention), histogram percentile edge
 // cases, registry create-on-first-use and scope allocation, ScopedSpan
-// nesting, and golden snapshots of the three exporter formats.
+// nesting, and golden snapshots of the text and Prometheus exporters.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -354,7 +354,7 @@ TEST(SpanTest, NameBasedSpanUsesConventionalHistogram) {
 // --------------------------------------------------------------------------
 
 Registry* GoldenRegistry() {
-  // Static so the three golden tests share one instance; values are only
+  // Static so the golden tests share one instance; values are only
   // written here, once. The serve.modelmanager.* instruments mirror what a
   // ModelManager registers (src/serve/model_manager.h) so the exporters'
   // rendering of the model-lifecycle metrics is pinned here.
@@ -425,38 +425,10 @@ TEST(ExporterTest, PrometheusGolden) {
             "smgcn_serve_modelmanager_artifact_open_seconds_count 1\n");
 }
 
-TEST(ExporterTest, CsvGolden) {
-  EXPECT_EQ(GoldenRegistry()->ExportCsv(),
-            "metric,type,value,count,mean,p50,p90,p99,max\n"
-            "a.count,counter,5,,,,,,\n"
-            "serve.modelmanager.publishes,counter,3,,,,,,\n"
-            "serve.modelmanager.rollbacks,counter,1,,,,,,\n"
-            "b.gauge,gauge,2.5,,,,,,\n"
-            "serve.modelmanager.active_versions,gauge,4,,,,,,\n"
-            "c.hist,histogram,0.001,1,0.001,0.001,0.001,0.001,0.001\n"
-            "serve.modelmanager.artifact_open.seconds,histogram,0.001,1,"
-            "0.001,0.001,0.001,0.001,0.001\n");
-}
-
-TEST(ExporterTest, EmptyRegistryExportsHeaderOnly) {
+TEST(ExporterTest, EmptyRegistryExportsNothing) {
   Registry reg;
   EXPECT_EQ(reg.ExportText(), "");
   EXPECT_EQ(reg.ExportPrometheus(), "");
-  EXPECT_EQ(reg.ExportCsv(), "metric,type,value,count,mean,p50,p90,p99,max\n");
-}
-
-TEST(ExporterTest, CsvEscapesMetricNamesWithSpecials) {
-  // Instrument names flow in from callers (model names, scopes), so CSV
-  // specials do reach the exporter. A comma used to split the name across
-  // two columns and an embedded quote corrupted the row; both must come
-  // out RFC-4180 quoted, with quotes doubled.
-  Registry reg;
-  reg.GetCounter("model \"prod\",eu.publishes")->Increment(7);
-  reg.GetGauge("line\nbreak.gauge")->Set(1);
-  EXPECT_EQ(reg.ExportCsv(),
-            "metric,type,value,count,mean,p50,p90,p99,max\n"
-            "\"model \"\"prod\"\",eu.publishes\",counter,7,,,,,,\n"
-            "\"line\nbreak.gauge\",gauge,1,,,,,,\n");
 }
 
 }  // namespace

@@ -8,13 +8,16 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <latch>
 #include <limits>
 #include <vector>
 
 #include "src/graph/csr_matrix.h"
+#include "src/obs/registry.h"
 #include "src/tensor/matrix.h"
 #include "src/util/parallel.h"
 #include "src/util/random.h"
+#include "src/util/thread_pool.h"
 
 namespace smgcn {
 namespace {
@@ -88,6 +91,45 @@ TEST_F(ParallelTest, NestedCallsRunInline) {
   });
   EXPECT_EQ(total.load(), 80);
   EXPECT_FALSE(parallel::InParallelRegion());
+}
+
+TEST_F(ParallelTest, RunBlocksFinishesWithEveryWorkerBusy) {
+  // The pool's only worker is blocked, as a drainer scoring its own batch
+  // would be: the caller claims every block itself, each exactly once, and
+  // the helper that runs later finds none left.
+  parallel::SetNumThreads(4);
+  ThreadPool pool(1);
+  std::latch release(1);
+  pool.Submit([&release] { release.wait(); });
+  obs::Counter* inline_runs =
+      obs::Registry::Global().GetCounter("parallel.inline_runs");
+  const std::uint64_t inline_before = inline_runs->value();
+
+  constexpr std::size_t kN = 100;
+  constexpr std::size_t kBlock = 16;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<int> blocks{0};
+  std::atomic<int> outside_region{0};
+  std::atomic<int> nested_total{0};
+  parallel::RunBlocks(&pool, kN, kBlock, [&](std::size_t b, std::size_t e) {
+    blocks.fetch_add(1);
+    if (b % kBlock != 0 || (e - b != kBlock && e != kN)) ADD_FAILURE();
+    if (!parallel::InParallelRegion()) outside_region.fetch_add(1);
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+    // A kernel nested in a block runs inline, whatever the global pool.
+    parallel::ParallelFor(0, 64, 1, [&](std::size_t nb, std::size_t ne) {
+      nested_total.fetch_add(static_cast<int>(ne - nb));
+    });
+  });
+  EXPECT_FALSE(parallel::InParallelRegion());
+  release.count_down();
+  pool.Wait();
+
+  EXPECT_EQ(blocks.load(), 7);  // ceil(100 / 16)
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  EXPECT_EQ(outside_region.load(), 0);
+  EXPECT_EQ(nested_total.load(), 7 * 64);
+  EXPECT_GE(inline_runs->value() - inline_before, 7u);
 }
 
 // --------------------------------------------------------------------------

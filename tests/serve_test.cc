@@ -343,7 +343,7 @@ double CacheGauge(const ShardedTopKCache& cache, const std::string& name) {
 }
 
 TEST(CacheTest, MissThenHit) {
-  ShardedTopKCache cache(16, 4);
+  ShardedTopKCache cache(16);
   const std::vector<int> ids{1, 3};
   std::vector<std::size_t> out;
   EXPECT_FALSE(cache.Lookup(42, ids, 5, &out));
@@ -360,7 +360,7 @@ TEST(CacheTest, MissThenHit) {
 }
 
 TEST(CacheTest, DifferentKIsAMiss) {
-  ShardedTopKCache cache(16, 1);
+  ShardedTopKCache cache(16);
   const std::vector<int> ids{1, 3};
   cache.Insert(42, ids, 5, {7, 8});
   std::vector<std::size_t> out;
@@ -368,7 +368,7 @@ TEST(CacheTest, DifferentKIsAMiss) {
 }
 
 TEST(CacheTest, HashCollisionVerifiedByIds) {
-  ShardedTopKCache cache(16, 1);
+  ShardedTopKCache cache(16);
   cache.Insert(42, {1, 3}, 5, {7});
   std::vector<std::size_t> out;
   // Same key, different canonical ids: must not serve the other query's herbs.
@@ -376,7 +376,7 @@ TEST(CacheTest, HashCollisionVerifiedByIds) {
 }
 
 TEST(CacheTest, EvictsLeastRecentlyUsed) {
-  ShardedTopKCache cache(2, 1);  // two entries, one shard
+  ShardedTopKCache cache(2);  // two entries, one shard
   cache.Insert(1, {1}, 5, {10});
   cache.Insert(2, {2}, 5, {20});
   std::vector<std::size_t> out;
@@ -389,7 +389,7 @@ TEST(CacheTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(CacheTest, ClearDropsEntriesKeepsCounters) {
-  ShardedTopKCache cache(8, 2);
+  ShardedTopKCache cache(8);
   cache.Insert(1, {1}, 5, {10});
   std::vector<std::size_t> out;
   ASSERT_TRUE(cache.Lookup(1, {1}, 5, &out));
@@ -402,7 +402,7 @@ TEST(CacheTest, ClearDropsEntriesKeepsCounters) {
 TEST(CacheTest, SizeGaugeTracksEntries) {
   // The registry gauge is live, so /metrics and benches read the occupancy
   // without any call refreshing it.
-  ShardedTopKCache cache(2, 1);
+  ShardedTopKCache cache(2);
   cache.Insert(1, {1}, 5, {10});
   cache.Insert(1, {1}, 5, {11});  // overwrite: still one entry
   cache.Insert(2, {2}, 5, {20});
@@ -413,12 +413,45 @@ TEST(CacheTest, SizeGaugeTracksEntries) {
   EXPECT_EQ(CacheGauge(cache, "size"), 0.0);
 }
 
+TEST(CacheTest, SmallCapacityHoldsEveryEntry) {
+  // Keys congruent modulo 8 would share one shard of a sharded cache; a
+  // 4-entry cache is one shard, an exact 4-entry LRU, and holds all four.
+  ShardedTopKCache cache(4);
+  EXPECT_EQ(cache.num_shards(), 1u);
+  for (const std::uint64_t key : {0u, 8u, 16u, 24u}) {
+    cache.Insert(key, {static_cast<int>(key)}, 5, {key});
+  }
+  std::vector<std::size_t> out;
+  for (const std::uint64_t key : {0u, 8u, 16u, 24u}) {
+    EXPECT_TRUE(cache.Lookup(key, {static_cast<int>(key)}, 5, &out)) << key;
+  }
+  EXPECT_EQ(CacheCounter(cache, "evictions"), 0u);
+  EXPECT_EQ(CacheGauge(cache, "size"), 4.0);
+  // The serving default keeps its layout: 8 shards of 512.
+  ShardedTopKCache serving(4096);
+  EXPECT_EQ(serving.num_shards(), 8u);
+  EXPECT_EQ(CacheGauge(serving, "capacity"), 4096.0);
+}
+
 // --------------------------------------------------------------------------
 // ServingEngine
 // --------------------------------------------------------------------------
 
-std::unique_ptr<ServingEngine> MakeEngine(ServingEngineOptions options = {}) {
-  auto engine = ServingEngine::Create(MakeCheckpoint(), options);
+// `checkpoint` frozen into a servable snapshot.
+std::shared_ptr<const ModelSnapshot> MakeSnapshot(
+    core::InferenceCheckpoint checkpoint = MakeCheckpoint(),
+    std::string version = "v1",
+    tensor::Precision precision = tensor::Precision::kFloat64) {
+  auto snapshot =
+      MakeModelSnapshot(std::move(checkpoint), std::move(version), precision);
+  SMGCN_CHECK(snapshot.ok()) << snapshot.status();
+  return *std::move(snapshot);
+}
+
+std::unique_ptr<ServingEngine> MakeEngine(
+    ServingEngineOptions options = {},
+    std::shared_ptr<const ModelSnapshot> snapshot = MakeSnapshot()) {
+  auto engine = ServingEngine::CreateFromSnapshot(std::move(snapshot), options);
   SMGCN_CHECK(engine.ok()) << engine.status();
   return std::move(engine).value();
 }
@@ -485,7 +518,12 @@ std::thread BeginShutdown(ServingEngine* engine,
 TEST(ServingEngineTest, CreateRejectsBadOptions) {
   ServingEngineOptions options;
   options.max_batch_size = 0;
-  EXPECT_EQ(ServingEngine::Create(MakeCheckpoint(), options).status().code(),
+  EXPECT_EQ(
+      ServingEngine::CreateFromSnapshot(MakeSnapshot(), options)
+          .status()
+          .code(),
+      smgcn::StatusCode::kInvalidArgument);
+  EXPECT_EQ(ServingEngine::CreateFromSnapshot(nullptr).status().code(),
             smgcn::StatusCode::kInvalidArgument);
 }
 
@@ -493,13 +531,12 @@ TEST(ServingEngineTest, ScoreBatchBitIdenticalToCheckpointRecommender) {
   core::InferenceCheckpoint ckpt = MakeCheckpoint();
   auto reference = core::CheckpointRecommender::FromCheckpoint(ckpt);
   ASSERT_TRUE(reference.ok());
-  auto engine = ServingEngine::Create(std::move(ckpt));
-  ASSERT_TRUE(engine.ok());
+  auto engine = MakeEngine({}, MakeSnapshot(std::move(ckpt)));
 
   const std::vector<std::vector<int>> queries = {
       {4, 2, 0}, {11}, {1, 3, 5, 7, 9}, {20, 22}};
   const std::vector<Response> batch =
-      (*engine)->HandleBatch(MakeRequests(queries, /*k=*/0));
+      engine->HandleBatch(MakeRequests(queries, /*k=*/0));
   ASSERT_EQ(batch.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(batch[i].ok()) << batch[i].message;
@@ -538,6 +575,20 @@ TEST(ServingEngineTest, RepeatQueriesHitCache) {
   EXPECT_EQ(EngineCounter(*engine, "cache.hits"), 1u);
   // The second query must not have triggered another GEMM.
   EXPECT_EQ(EngineCounter(*engine, "batches"), 1u);
+}
+
+TEST(ServingEngineTest, EachKKeepsItsOwnCacheEntry) {
+  // k is part of the cache key: asking one symptom set at k=5 and k=10
+  // holds two entries, so going back to k=5 is a hit, not an overwrite.
+  auto engine = MakeEngine();
+  const Response five = engine->Handle(MakeRequest({1, 2, 3}, 5));
+  ASSERT_TRUE(engine->Handle(MakeRequest({1, 2, 3}, 10)).ok());
+  const std::uint64_t hits = EngineCounter(*engine, "cache.hits");
+  const Response again = engine->Handle(MakeRequest({1, 2, 3}, 5));
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(EngineCounter(*engine, "cache.hits"), hits + 1);
+  EXPECT_EQ(again.herb_ids, five.herb_ids);
+  EXPECT_EQ(EngineCounter(*engine, "batches"), 2u);
 }
 
 TEST(ServingEngineTest, TopKBeyondCatalogClampsAndSharesOneCacheEntry) {
@@ -580,10 +631,9 @@ TEST(ServingEngineTest, SubmitRequestClampsTopKBeyondCatalog) {
   EXPECT_EQ(result.herb_ids, expected.herb_ids);
 }
 
-TEST(ServingEngineTest, Float32PrecisionOptionServes) {
-  ServingEngineOptions options;
-  options.precision = tensor::Precision::kFloat32;
-  auto f32_engine = MakeEngine(options);
+TEST(ServingEngineTest, Float32SnapshotServes) {
+  auto f32_engine = MakeEngine(
+      {}, MakeSnapshot(MakeCheckpoint(), "v1", tensor::Precision::kFloat32));
   EXPECT_EQ(f32_engine->store().precision(), tensor::Precision::kFloat32);
   auto f64_engine = MakeEngine();
 
@@ -598,10 +648,6 @@ TEST(ServingEngineTest, Float32PrecisionOptionServes) {
   std::size_t agree = 0;
   for (std::size_t id : b.herb_ids) agree += a_set.count(id);
   EXPECT_GE(agree, 9u);
-
-  // Publish through the engine keeps the configured precision.
-  ASSERT_TRUE(f32_engine->Publish(MakeCheckpoint(), "v2").ok());
-  EXPECT_EQ(f32_engine->store().precision(), tensor::Precision::kFloat32);
 }
 
 // Ranked answers are picked straight off the kernel's score rows (float
@@ -622,12 +668,13 @@ TEST(ServingEngineTest, RankedIdsEqualTopKOfDenseRows) {
        {tensor::Precision::kFloat64, tensor::Precision::kFloat32,
         tensor::Precision::kInt8}) {
     ServingEngineOptions options;
-    options.precision = precision;
     options.cache_capacity = 1024;
     // One engine per path, each warmed with every third query, so both
     // paths see batches that mix cache hits and misses.
-    auto sync_engine = MakeEngine(options);
-    auto async_engine = MakeEngine(options);
+    auto sync_engine =
+        MakeEngine(options, MakeSnapshot(MakeCheckpoint(), "v1", precision));
+    auto async_engine =
+        MakeEngine(options, MakeSnapshot(MakeCheckpoint(), "v1", precision));
     std::vector<std::vector<int>> warm;
     for (std::size_t i = 0; i < queries.size(); i += 3) {
       warm.push_back(queries[i]);
@@ -667,6 +714,58 @@ TEST(ServingEngineTest, RankedIdsEqualTopKOfDenseRows) {
       EXPECT_GT(EngineCounter(*engine, "cache.misses"), warm.size());
     }
   }
+}
+
+// A 50-row dense batch is four GEMM blocks, the last one partial. On an
+// SI-MLP model wide enough (d = 64) for the f64 MatMul to fan out on its
+// own, every engine pool size and process-wide thread count gives the same
+// bits, each row equals the query scored alone, and the only fan-out is the
+// engine's own: kernels nested in its blocks run inline.
+TEST(ServingEngineTest, DenseBlocksBitIdenticalAcrossThreadConfigs) {
+  Rng rng(515);
+  std::vector<std::vector<int>> queries(50);
+  for (auto& q : queries) {
+    const std::size_t len = static_cast<std::size_t>(rng.UniformInt(1, 5));
+    for (std::size_t j = 0; j < len; ++j) {
+      q.push_back(static_cast<int>(rng.UniformInt(0, 23)));
+    }
+  }
+  obs::Counter* fanouts =
+      obs::Registry::Global().GetCounter("parallel.fanout_runs");
+  for (const tensor::Precision precision :
+       {tensor::Precision::kFloat64, tensor::Precision::kFloat32,
+        tensor::Precision::kInt8}) {
+    const auto snapshot =
+        MakeSnapshot(MakeCheckpoint(24, 40, 64), "v1", precision);
+    std::vector<Response> reference;
+    for (const std::size_t engine_threads : {1u, 2u, 4u}) {
+      for (const std::size_t kernel_threads : {1u, 4u}) {
+        parallel::SetNumThreads(kernel_threads);
+        ServingEngineOptions options;
+        options.num_threads = engine_threads;
+        auto engine = MakeEngine(options, snapshot);
+        const std::uint64_t fanouts_before = fanouts->value();
+        const std::vector<Response> batch =
+            engine->HandleBatch(MakeRequests(queries, /*k=*/0));
+        EXPECT_EQ(fanouts->value() - fanouts_before,
+                  engine_threads > 1 ? 1u : 0u)
+            << "engine threads " << engine_threads << ", kernel threads "
+            << kernel_threads;
+        if (reference.empty()) reference = batch;
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          ASSERT_TRUE(batch[i].ok()) << batch[i].message;
+          EXPECT_EQ(batch[i].scores, reference[i].scores)
+              << "precision " << static_cast<int>(precision)
+              << ", engine threads " << engine_threads << ", kernel threads "
+              << kernel_threads << ", query " << i;
+          EXPECT_EQ(engine->Handle(MakeRequest(queries[i], 0)).scores,
+                    batch[i].scores)
+              << "query " << i;
+        }
+      }
+    }
+  }
+  parallel::SetNumThreads(1);
 }
 
 TEST(ServingEngineTest, EnginesGetDistinctObsScopes) {
@@ -754,15 +853,14 @@ TEST(ServingEngineTest, ConcurrentSubmitsFromManyThreads) {
 
 TEST(ServingEngineTest, RequestPathHammeredUnderParallelKernels) {
   // Cache + stats audit under the multi-threaded kernels: a deliberately
-  // tiny sharded cache (constant evictions) is hammered by dense and ranked
+  // tiny cache (constant evictions) is hammered by dense and ranked
   // HandleBatch and async SubmitRequest from several threads while the
-  // tensor kernels themselves fan out across the process-wide parallel pool.
+  // process-wide parallel pool is live beside the engine's own.
   parallel::SetNumThreads(4);
   ServingEngineOptions options;
   options.max_batch_size = 8;
   options.num_threads = 3;
   options.cache_capacity = 6;  // forces eviction churn
-  options.cache_shards = 2;
   auto engine = MakeEngine(options);
 
   std::vector<std::vector<int>> queries;
@@ -816,7 +914,7 @@ TEST(ServingEngineTest, RequestPathHammeredUnderParallelKernels) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
 
-  // Counter coherence across shards: every lookup is either a hit or a miss,
+  // Counter coherence: every lookup is either a hit or a miss,
   // occupancy never exceeds the budget, and churn actually happened.
   const std::uint64_t misses = EngineCounter(*engine, "cache.misses");
   const std::uint64_t evictions = EngineCounter(*engine, "cache.evictions");
@@ -912,48 +1010,6 @@ TEST(ServingEngineTest, DestructorDrainsImplicitly) {
 }
 
 // --------------------------------------------------------------------------
-// EngineRecommender adapter
-// --------------------------------------------------------------------------
-
-TEST(EngineRecommenderTest, OverridesBatchPathAndMatchesBase) {
-  core::InferenceCheckpoint ckpt = MakeCheckpoint();
-  auto reference = core::CheckpointRecommender::FromCheckpoint(ckpt);
-  ASSERT_TRUE(reference.ok());
-  auto engine = ServingEngine::Create(std::move(ckpt));
-  ASSERT_TRUE(engine.ok());
-  EngineRecommender recommender(engine->get());
-
-  EXPECT_EQ(recommender.name(), "test-ckpt");
-  EXPECT_EQ(recommender.Fit(data::Corpus()).code(),
-            smgcn::StatusCode::kFailedPrecondition);
-
-  const std::vector<std::vector<int>> queries = {{1, 2}, {5, 9, 13}};
-  // The base-class default loops Score; the adapter fuses one GEMM. Both
-  // must agree with the checkpoint recommender (bit-identical rows).
-  auto fused = recommender.ScoreBatch(queries);
-  auto looped = reference->ScoreBatch(queries);
-  ASSERT_TRUE(fused.ok());
-  ASSERT_TRUE(looped.ok());
-  EXPECT_EQ(*fused, *looped);
-
-  // Top-k through the inherited Recommend() convenience.
-  auto top = recommender.Recommend({1, 2}, 5);
-  ASSERT_TRUE(top.ok());
-  EXPECT_EQ(top->size(), 5u);
-}
-
-TEST(EngineRecommenderTest, MalformedQueryNamesIndex) {
-  // The adapter owns HerbRecommender's batch error contract: the first
-  // invalid query fails the batch and the message names its index.
-  auto engine = MakeEngine();
-  EngineRecommender recommender(engine.get());
-  auto result = recommender.ScoreBatch({{1}, {999}});
-  EXPECT_EQ(result.status().code(), smgcn::StatusCode::kInvalidArgument);
-  EXPECT_NE(result.status().message().find("query 1"), std::string::npos);
-  EXPECT_TRUE(recommender.ScoreBatch({}).ok());  // empty batch is fine
-}
-
-// --------------------------------------------------------------------------
 // Slow-query log
 // --------------------------------------------------------------------------
 
@@ -968,8 +1024,11 @@ TEST(SlowQueryLogTest, DisabledByDefault) {
 TEST(SlowQueryLogTest, NegativeThresholdIsRejected) {
   ServingEngineOptions options;
   options.slow_query_threshold_ms = -1.0;
-  EXPECT_EQ(ServingEngine::Create(MakeCheckpoint(), options).status().code(),
-            smgcn::StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      ServingEngine::CreateFromSnapshot(MakeSnapshot(), options)
+          .status()
+          .code(),
+      smgcn::StatusCode::kInvalidArgument);
 }
 
 TEST(SlowQueryLogTest, SyncQueriesRecordStageBreakdown) {
@@ -1038,16 +1097,20 @@ TEST(SlowQueryLogTest, AsyncQueriesRecordQueueAndBatch) {
 }
 
 TEST(SlowQueryLogTest, EvictsOldestBeyondCapacity) {
-  ServingEngineOptions options;
-  options.slow_query_threshold_ms = 1e-6;
-  options.slow_query_log_capacity = 4;
-  options.cache_capacity = 0;
-  auto engine = MakeEngine(options);
+  obs::Registry registry;
+  SlowQueryLog log(/*threshold_seconds=*/1e-9, /*capacity=*/4, &registry,
+                   "slowlog.");
   for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(engine->Handle(MakeRequest({i % 24, (i + 1) % 24}, 5)).ok());
+    SlowQueryRecord record;
+    record.request_id = std::to_string(i);
+    record.total_seconds = 1.0;
+    log.Record(std::move(record));
   }
-  EXPECT_EQ(engine->slow_query_log().Snapshot().size(), 4u);
-  EXPECT_EQ(engine->slow_query_log().total_recorded(), 10u);
+  const std::vector<SlowQueryRecord> retained = log.Snapshot();
+  ASSERT_EQ(retained.size(), 4u);
+  EXPECT_EQ(retained.front().request_id, "6");
+  EXPECT_EQ(retained.back().request_id, "9");
+  EXPECT_EQ(log.total_recorded(), 10u);
 }
 
 TEST(SlowQueryLogTest, SyncRecordsClampedK) {
@@ -1064,7 +1127,7 @@ TEST(SlowQueryLogTest, SyncRecordsClampedK) {
 }
 
 // --------------------------------------------------------------------------
-// Hot swap (ServingEngine::Publish)
+// Hot swap (ServingEngine::PublishSnapshot)
 // --------------------------------------------------------------------------
 
 TEST(ServingEngineSwapTest, PublishSwapsScoresAndVersion) {
@@ -1080,7 +1143,8 @@ TEST(ServingEngineSwapTest, PublishSwapsScoresAndVersion) {
       next.herb_embeddings(r, c) += 1.0;
     }
   }
-  ASSERT_TRUE(engine->Publish(std::move(next), "v2").ok());
+  ASSERT_TRUE(
+      engine->PublishSnapshot(MakeSnapshot(std::move(next), "v2")).ok());
   EXPECT_EQ(engine->active_version(), "v2");
 
   const Response after = engine->Handle(MakeRequest({1, 2}, 0));
@@ -1091,18 +1155,25 @@ TEST(ServingEngineSwapTest, PublishSwapsScoresAndVersion) {
 
 TEST(ServingEngineSwapTest, PublishRejectsBadInput) {
   auto engine = MakeEngine();
-  EXPECT_EQ(engine->Publish(MakeCheckpoint(), "").code(),
+  EXPECT_EQ(MakeModelSnapshot(MakeCheckpoint(), "").status().code(),
             smgcn::StatusCode::kInvalidArgument);
   core::InferenceCheckpoint bad;  // empty: fails validation
-  EXPECT_FALSE(engine->Publish(std::move(bad), "v2").ok());
-  // Failed publishes leave the active snapshot untouched.
+  EXPECT_FALSE(MakeModelSnapshot(std::move(bad), "v2").ok());
+  EXPECT_EQ(engine->PublishSnapshot(nullptr).code(),
+            smgcn::StatusCode::kInvalidArgument);
+  // Failed publishes leave the active snapshot untouched and serving.
   EXPECT_EQ(engine->active_version(), "v1");
+  const Response served = engine->Handle(MakeRequest({1, 2}, 5));
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served.version, "v1");
 }
 
 TEST(ServingEngineSwapTest, CacheEntriesAreScopedToTheirPublish) {
   auto engine = MakeEngine();
   ASSERT_TRUE(engine->Handle(MakeRequest({1, 2, 3}, 10)).ok());
-  ASSERT_TRUE(engine->Publish(MakeCheckpoint(12, 40, 8), "v2").ok());
+  ASSERT_TRUE(
+      engine->PublishSnapshot(MakeSnapshot(MakeCheckpoint(12, 40, 8), "v2"))
+          .ok());
   // Same query, new snapshot: the v1 cache entry must not answer it.
   ASSERT_TRUE(engine->Handle(MakeRequest({1, 2, 3}, 10)).ok());
   EXPECT_EQ(EngineCounter(*engine, "cache.hits"), 0u);
@@ -1114,8 +1185,10 @@ TEST(ServingEngineSwapTest, PublishCountsInRegistry) {
   const std::string counter = engine->obs_prefix() + "publishes";
   auto* publishes = obs::Registry::Global().GetCounter(counter);
   EXPECT_EQ(publishes->value(), 0u);
-  ASSERT_TRUE(engine->Publish(MakeCheckpoint(), "v2").ok());
-  ASSERT_TRUE(engine->Publish(MakeCheckpoint(), "v3").ok());
+  ASSERT_TRUE(
+      engine->PublishSnapshot(MakeSnapshot(MakeCheckpoint(), "v2")).ok());
+  ASSERT_TRUE(
+      engine->PublishSnapshot(MakeSnapshot(MakeCheckpoint(), "v3")).ok());
   EXPECT_EQ(publishes->value(), 2u);
 }
 
@@ -1139,7 +1212,9 @@ TEST(ServingEngineSwapTest, InFlightSubmitsFinishOnTheirSnapshot) {
     futures.push_back(engine->SubmitRequest(MakeRequest({2, 4}, 5)));
   }
   // The publish lands while all 8 are still queued.
-  ASSERT_TRUE(engine->Publish(MakeCheckpoint(12, 40, 8), "v2").ok());
+  ASSERT_TRUE(
+      engine->PublishSnapshot(MakeSnapshot(MakeCheckpoint(12, 40, 8), "v2"))
+          .ok());
   pin.Release();
   for (auto& f : futures) {
     const Response result = f.get();
@@ -1260,7 +1335,8 @@ TEST(RequestSurfaceTest, VersionPinGuardsAcrossSwaps) {
   pinned.version = "v1";
   EXPECT_TRUE(engine->Handle(pinned).ok());
 
-  ASSERT_TRUE(engine->Publish(MakeCheckpoint(), "v2").ok());
+  ASSERT_TRUE(
+      engine->PublishSnapshot(MakeSnapshot(MakeCheckpoint(), "v2")).ok());
   const Response stale = engine->Handle(pinned);
   EXPECT_EQ(stale.status, StatusCode::kUnavailable);
   EXPECT_NE(stale.message.find("v1"), std::string::npos);
@@ -1282,11 +1358,14 @@ TEST(RequestSurfaceTest, VersionPinGuardsAcrossSwaps) {
 TEST(RequestSurfaceTest, SyncAndAsyncPathsAnswerAlike) {
   // HandleBatch and SubmitRequest share admission and execution, so the
   // same requests get the same answers on both paths.
-  auto created = ServingEngine::Create(
-      MakeCheckpoint(24, 40, 8, /*with_si_mlp=*/true, /*with_herb_bipar=*/true));
-  ASSERT_TRUE(created.ok()) << created.status();
-  ServingEngine& engine = **created;
-  ASSERT_TRUE(engine.Publish(MakeCheckpoint(24, 40, 8, true, true), "v2").ok());
+  auto created = MakeEngine({}, MakeSnapshot(MakeCheckpoint(
+                                    24, 40, 8, /*with_si_mlp=*/true,
+                                    /*with_herb_bipar=*/true)));
+  ServingEngine& engine = *created;
+  ASSERT_TRUE(engine
+                  .PublishSnapshot(MakeSnapshot(
+                      MakeCheckpoint(24, 40, 8, true, true), "v2"))
+                  .ok());
 
   std::vector<Request> requests;
   requests.push_back(MakeRequest({3, 1, 2}, 5));            // ok
@@ -1629,11 +1708,9 @@ TEST(CallbackAdmissionTest, DeadlineExpiredDuringScoringFiresOnce) {
   // loaded host shows up as "before scoring"; the budget then doubles.
   ServingEngineOptions options;
   options.cache_capacity = 0;
-  auto engine = ServingEngine::Create(
-      MakeCheckpoint(64, 4000, 64, /*with_si_mlp=*/true,
-                     /*with_herb_bipar=*/true),
-      options);
-  ASSERT_TRUE(engine.ok()) << engine.status();
+  auto engine = MakeEngine(
+      options, MakeSnapshot(MakeCheckpoint(64, 4000, 64, /*with_si_mlp=*/true,
+                                           /*with_herb_bipar=*/true)));
   std::vector<int> symptoms(32);
   for (int i = 0; i < 32; ++i) symptoms[static_cast<std::size_t>(i)] = 2 * i;
   std::vector<std::shared_ptr<CallbackProbe>> probes;
@@ -1644,7 +1721,7 @@ TEST(CallbackAdmissionTest, DeadlineExpiredDuringScoringFiresOnce) {
     request.top_k = 4000;
     request.attribution = true;
     request.deadline_ms = budget_ms;
-    probes.push_back(SubmitWithCallback(engine->get(), std::move(request)));
+    probes.push_back(SubmitWithCallback(engine.get(), std::move(request)));
     const Response response = probes.back()->first.get_future().get();
     if (response.ok()) continue;  // scored within the budget after all
     EXPECT_EQ(response.status, StatusCode::kDeadlineExceeded);
@@ -1653,7 +1730,7 @@ TEST(CallbackAdmissionTest, DeadlineExpiredDuringScoringFiresOnce) {
     expired_after_scoring =
         response.message.find("answered after") != std::string::npos;
   }
-  (*engine)->Shutdown();
+  engine->Shutdown();
   EXPECT_TRUE(expired_after_scoring);
   for (const auto& probe : probes) EXPECT_EQ(probe->calls.load(), 1);
 }
@@ -1698,13 +1775,10 @@ TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
     std::vector<std::vector<audit::HerbAttribution>> collected;
     for (const int threads : {1, 4}) {
       parallel::SetNumThreads(threads);
-      ServingEngineOptions options;
-      options.precision = precision;
-      auto engine = ServingEngine::Create(
-          MakeCheckpoint(24, 40, 8, /*with_si_mlp=*/true,
-                         /*with_herb_bipar=*/true),
-          options);
-      ASSERT_TRUE(engine.ok()) << engine.status();
+      auto engine = MakeEngine(
+          {}, MakeSnapshot(MakeCheckpoint(24, 40, 8, /*with_si_mlp=*/true,
+                                          /*with_herb_bipar=*/true),
+                           "v1", precision));
 
       Request request;
       request.symptoms = symptoms;
@@ -1712,13 +1786,13 @@ TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
       request.attribution = true;
 
       // Path 1: sync per-query (cache miss).
-      const Response sync = (*engine)->Handle(request);
+      const Response sync = engine->Handle(request);
       ASSERT_TRUE(sync.ok()) << sync.message;
       CheckAttributionInvariants(sync, canonical);
 
       // The served scores are the dense scores for the same query: the
       // attribution decomposes exactly what the ranking saw.
-      const Response dense = (*engine)->Handle(MakeRequest(symptoms, 0));
+      const Response dense = engine->Handle(MakeRequest(symptoms, 0));
       ASSERT_TRUE(dense.ok());
       for (const audit::HerbAttribution& herb : sync.attribution->herbs) {
         EXPECT_EQ(herb.score, dense.scores[herb.herb_id]);
@@ -1729,7 +1803,7 @@ TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
       }
 
       // Path 2: cache-hit repeat of the same query.
-      const Response cached = (*engine)->Handle(request);
+      const Response cached = engine->Handle(request);
       ASSERT_TRUE(cached.ok());
       CheckAttributionInvariants(cached, canonical);
 
@@ -1740,7 +1814,7 @@ TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
       batch[1] = request;
       batch[2].symptoms = std::vector<int>{0, 23, 11};
       batch[2].top_k = kTopK;
-      const std::vector<Response> batched = (*engine)->HandleBatch(batch);
+      const std::vector<Response> batched = engine->HandleBatch(batch);
       ASSERT_TRUE(batched[1].ok());
       CheckAttributionInvariants(batched[1], canonical);
       EXPECT_FALSE(batched[0].attribution.has_value());  // not requested
@@ -1748,7 +1822,7 @@ TEST(AttributionTest, ParityAcrossPrecisionsPathsAndThreads) {
       // Path 4: async micro-batched.
       Request async_request = request;
       const Response async =
-          (*engine)->SubmitRequest(std::move(async_request)).get();
+          engine->SubmitRequest(std::move(async_request)).get();
       ASSERT_TRUE(async.ok()) << async.message;
       CheckAttributionInvariants(async, canonical);
 
@@ -1781,13 +1855,12 @@ TEST(AttributionTest, F64MatchesCheckpointReference) {
   // reference implementation (both accumulate ascending-k from zero).
   auto ckpt = MakeCheckpoint(24, 40, 8, true, /*with_herb_bipar=*/true);
   core::InferenceCheckpoint reference_copy = ckpt;
-  auto engine = ServingEngine::Create(std::move(ckpt));
-  ASSERT_TRUE(engine.ok());
+  auto engine = MakeEngine({}, MakeSnapshot(std::move(ckpt)));
   Request request;
   request.symptoms = std::vector<int>{2, 4, 6};
   request.top_k = 5;
   request.attribution = true;
-  const Response response = (*engine)->Handle(request);
+  const Response response = engine->Handle(request);
   ASSERT_TRUE(response.ok());
   ASSERT_TRUE(response.attribution.has_value());
 
@@ -1808,14 +1881,14 @@ TEST(AttributionTest, F64MatchesCheckpointReference) {
 }
 
 TEST(AttributionTest, WithoutBiparTableFallsBackToWholeScore) {
-  auto engine = ServingEngine::Create(
-      MakeCheckpoint(24, 40, 8, true, /*with_herb_bipar=*/false));
-  ASSERT_TRUE(engine.ok());
+  auto engine = MakeEngine(
+      {}, MakeSnapshot(
+              MakeCheckpoint(24, 40, 8, true, /*with_herb_bipar=*/false)));
   Request request;
   request.symptoms = std::vector<int>{1, 3};
   request.top_k = 5;
   request.attribution = true;
-  const Response response = (*engine)->Handle(request);
+  const Response response = engine->Handle(request);
   ASSERT_TRUE(response.ok());
   ASSERT_TRUE(response.attribution.has_value());
   for (const audit::HerbAttribution& herb : response.attribution->herbs) {
@@ -1829,17 +1902,15 @@ TEST(AttributionTest, WithoutBiparTableFallsBackToWholeScore) {
 TEST(AttributionTest, RequestIdMintedEchoedAndSlowLogged) {
   ServingEngineOptions options;
   options.slow_query_threshold_ms = 1e-9;  // everything is "slow"
-  options.slow_query_log_capacity = 16;
-  auto engine = ServingEngine::Create(
-      MakeCheckpoint(24, 40, 8, true, true), options);
-  ASSERT_TRUE(engine.ok());
+  auto engine =
+      MakeEngine(options, MakeSnapshot(MakeCheckpoint(24, 40, 8, true, true)));
 
   // Client-supplied id is echoed on the sync path...
   Request request;
   request.symptoms = std::vector<int>{2, 4};
   request.top_k = 5;
   request.request_id = "client-id-7";
-  const Response echoed = (*engine)->Handle(request);
+  const Response echoed = engine->Handle(request);
   ASSERT_TRUE(echoed.ok());
   EXPECT_EQ(echoed.request_id, "client-id-7");
 
@@ -1847,7 +1918,7 @@ TEST(AttributionTest, RequestIdMintedEchoedAndSlowLogged) {
   Request minted_req;
   minted_req.symptoms = std::vector<int>{2, 4};
   minted_req.top_k = 5;
-  const Response minted = (*engine)->Handle(minted_req);
+  const Response minted = engine->Handle(minted_req);
   ASSERT_TRUE(minted.ok());
   EXPECT_FALSE(minted.request_id.empty());
   EXPECT_NE(minted.request_id, "client-id-7");
@@ -1855,7 +1926,7 @@ TEST(AttributionTest, RequestIdMintedEchoedAndSlowLogged) {
   async_req.symptoms = std::vector<int>{1, 5};
   async_req.top_k = 5;
   async_req.request_id = "async-id-9";
-  const Response async = (*engine)->SubmitRequest(std::move(async_req)).get();
+  const Response async = engine->SubmitRequest(std::move(async_req)).get();
   ASSERT_TRUE(async.ok());
   EXPECT_EQ(async.request_id, "async-id-9");
 
@@ -1863,13 +1934,13 @@ TEST(AttributionTest, RequestIdMintedEchoedAndSlowLogged) {
   Request another;
   another.symptoms = std::vector<int>{2, 4};
   another.top_k = 5;
-  const Response minted2 = (*engine)->Handle(another);
+  const Response minted2 = engine->Handle(another);
   EXPECT_NE(minted2.request_id, minted.request_id);
 
   // The slow log carries the correlation id and the model/version.
   bool found = false;
   for (const SlowQueryRecord& record :
-       (*engine)->slow_query_log().Snapshot()) {
+       engine->slow_query_log().Snapshot()) {
     if (record.request_id == "client-id-7") {
       found = true;
       EXPECT_EQ(record.model, "test-ckpt");
@@ -1883,15 +1954,15 @@ TEST(AttributionTest, RequestIdMintedEchoedAndSlowLogged) {
 }
 
 TEST(AttributionTest, ErrorsAndDenseModeCarryNoAttribution) {
-  auto engine = ServingEngine::Create(MakeCheckpoint(24, 40, 8, true, true));
-  ASSERT_TRUE(engine.ok());
+  auto engine =
+      MakeEngine({}, MakeSnapshot(MakeCheckpoint(24, 40, 8, true, true)));
   // Invalid symptoms: error response still carries a request id.
   Request bad;
   bad.symptoms = std::vector<int>{9999};
   bad.top_k = 5;
   bad.attribution = true;
   bad.request_id = "bad-1";
-  const Response error = (*engine)->Handle(bad);
+  const Response error = engine->Handle(bad);
   EXPECT_FALSE(error.ok());
   EXPECT_FALSE(error.attribution.has_value());
   EXPECT_EQ(error.request_id, "bad-1");
@@ -1900,7 +1971,7 @@ TEST(AttributionTest, ErrorsAndDenseModeCarryNoAttribution) {
   dense.symptoms = std::vector<int>{1, 2};
   dense.top_k = 0;
   dense.attribution = true;
-  const Response scores = (*engine)->Handle(dense);
+  const Response scores = engine->Handle(dense);
   ASSERT_TRUE(scores.ok());
   EXPECT_FALSE(scores.attribution.has_value());
 }

@@ -185,7 +185,9 @@ TEST(CsvTest, QuotesSpecialCharacters) {
   CsvWriter csv({"x"});
   ASSERT_TRUE(csv.AddRow({"a,b"}).ok());
   ASSERT_TRUE(csv.AddRow({"say \"hi\""}).ok());
-  EXPECT_EQ(csv.ToString(), "x\n\"a,b\"\n\"say \"\"hi\"\"\"\n");
+  ASSERT_TRUE(csv.AddRow({"line\nbreak"}).ok());
+  EXPECT_EQ(csv.ToString(),
+            "x\n\"a,b\"\n\"say \"\"hi\"\"\"\n\"line\nbreak\"\n");
 }
 
 TEST(CsvTest, WriteFileFailsOnBadPath) {
