@@ -222,24 +222,62 @@ void BM_KernelGemvS8(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelGemvS8)->Arg(0)->Arg(1);
 
-// Top-20 of one 753-herb row (the real corpus herb count). Arg 0: random
+// The f64 reference GEMM at the same serving shape (d = 64, H = 753):
+// arg 0 selects scalar (0) or dispatched (1), arg 1 the batch.
+void BM_KernelGemmF64(benchmark::State& state) {
+  const bool dispatched = state.range(0) != 0;
+  const auto batch = static_cast<std::size_t>(state.range(1));
+  const std::size_t d = 64, h = 753;
+  const tensor::kernels::Backend& backend =
+      dispatched ? tensor::kernels::Active() : tensor::kernels::ScalarBackend();
+  Rng rng(12);
+  std::vector<double> a(batch * d), bt(d * h), out(batch * h);
+  for (auto& x : a) x = rng.Normal(0.0, 1.0);
+  for (auto& x : bt) x = rng.Normal(0.0, 1.0);
+  for (auto _ : state) {
+    backend.gemm_f64(a.data(), bt.data(), batch, d, h, out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(backend.name);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch * d * h));
+}
+BENCHMARK(BM_KernelGemmF64)
+    ->Args({0, 1})
+    ->Args({0, 16})
+    ->Args({0, 128})
+    ->Args({1, 1})
+    ->Args({1, 16})
+    ->Args({1, 128});
+
+// Top-20 of a 753-herb row (the real corpus herb count). Arg 0: random
 // scores; arg 1: ascending scores, the worst case for a partial sort that
-// admits every new element into its heap.
+// admits every new element into its heap; arg 2: each iteration takes the
+// next of 256 distinct random rows, so branch predictors cannot learn one
+// row's outcomes as they do under args 0 and 1.
 template <typename T>
 void BM_TopK(benchmark::State& state) {
+  constexpr std::size_t kHerbs = 753;
+  const std::size_t num_rows = state.range(0) == 2 ? 256 : 1;
   Rng rng(7);
-  std::vector<T> scores(753);
+  std::vector<T> scores(num_rows * kHerbs);
   for (std::size_t i = 0; i < scores.size(); ++i) {
-    scores[i] = state.range(0) == 0 ? static_cast<T>(rng.Uniform())
-                                    : static_cast<T>(i);
+    scores[i] = state.range(0) == 1 ? static_cast<T>(i)
+                                    : static_cast<T>(rng.Uniform());
   }
+  std::size_t row = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(eval::TopK(scores.data(), scores.size(), 20));
+    benchmark::DoNotOptimize(
+        eval::TopK(scores.data() + row * kHerbs, kHerbs, 20));
+    row = row + 1 == num_rows ? 0 : row + 1;
   }
-  state.SetLabel(state.range(0) == 0 ? "random" : "ascending");
+  static constexpr const char* kLabels[] = {"random", "ascending",
+                                            "varied rows"};
+  state.SetLabel(kLabels[state.range(0)]);
 }
-BENCHMARK_TEMPLATE(BM_TopK, double)->Arg(0)->Arg(1);
-BENCHMARK_TEMPLATE(BM_TopK, float)->Arg(0)->Arg(1);
+BENCHMARK_TEMPLATE(BM_TopK, double)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK_TEMPLATE(BM_TopK, float)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_GraphConstruction(benchmark::State& state) {
   data::TcmGeneratorConfig cfg;

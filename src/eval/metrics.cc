@@ -2,70 +2,155 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 #include <unordered_set>
+
+#include "src/tensor/kernels.h"
+#include "src/util/logging.h"
 
 namespace smgcn {
 namespace eval {
 
 namespace {
 
-/// A score that can still reach the top k, carried with its index so the
-/// selection compares scores without chasing indices back into the row.
+// eval::TopK in four passes over one row, none with a data-dependent
+// branch:
+//   1. floor: the row's lane maxima (element i in lane i % lanes, lanes a
+//      multiple of 8 above k) are `lanes` distinct elements, so their k-th
+//      largest is a score at least k elements reach. Nothing below it can
+//      rank in the top k.
+//   2. filter: the indices of the scores at or above the floor, ascending
+//      (NaN fails every comparison, so it never survives).
+//   3. keys: each survivor's score as an order-preserving integer, -0
+//      folded into +0, so selection compares integers, not floats.
+//   4. rank: a survivor's rank is the number of greater keys, plus the
+//      number of equal keys at lower indices; rank r < k puts it at
+//      position r of the result.
+// Passes 1 and 2 are the kernel backend's row scans. The rank is O(m^2) in
+// the m survivors, so it runs only for small k and few survivors; larger
+// selections sort the keys instead, and rows with fewer than k numbers
+// end with their NaNs in index order.
+
+/// Largest k served by the floor and the rank: ~k + 10 survivors on real
+/// score rows, so the rank's m^2 compares stay below a sort's cost.
+constexpr std::size_t kMaxRankedK = 64;
+/// Largest survivor count the rank takes; more (heavy ties at the floor)
+/// go to the sort.
+constexpr std::size_t kMaxRankedSurvivors = 128;
+
+/// Order-preserving signed key of a number: x < y exactly when
+/// OrderKey(x) < OrderKey(y), and -0 and +0 share the key of +0. Never
+/// called on NaN.
+std::int64_t OrderKey(double x) {
+  const double folded = x + 0.0;  // -0.0 + 0.0 == +0.0
+  std::int64_t bits = 0;
+  std::memcpy(&bits, &folded, sizeof bits);
+  return bits ^ ((bits >> 63) & std::numeric_limits<std::int64_t>::max());
+}
+
+std::int32_t OrderKey(float x) {
+  const float folded = x + 0.0f;
+  std::int32_t bits = 0;
+  std::memcpy(&bits, &folded, sizeof bits);
+  return bits ^ ((bits >> 31) & std::numeric_limits<std::int32_t>::max());
+}
+
+/// Counts in the score's own width, so compare-and-count loops vectorize
+/// lane for lane without widening.
 template <typename T>
-struct Candidate {
-  T score;
-  std::size_t index;
-};
+using Count = std::make_unsigned_t<decltype(OrderKey(T{}))>;
+
+/// The k-th largest of the lane maxima: the largest maximum that at least
+/// k maxima reach.
+template <typename T>
+T KthLargest(const T* maxima, std::size_t lanes, std::size_t k) {
+  T floor = -std::numeric_limits<T>::infinity();
+  for (std::size_t i = 0; i < lanes; ++i) {
+    const T v = maxima[i];
+    Count<T> reach = 0;
+    for (std::size_t j = 0; j < lanes; ++j) reach += maxima[j] >= v;
+    floor = reach >= k && v > floor ? v : floor;
+  }
+  return floor;
+}
 
 template <typename T>
 std::vector<std::size_t> TopKImpl(const T* scores, std::size_t n,
                                   std::size_t k) {
+  using Key = decltype(OrderKey(T{}));
+  SMGCN_CHECK_LE(n, std::size_t{std::numeric_limits<std::uint32_t>::max()})
+      << "TopK indexes rows with 32-bit positions";
   k = std::min(k, n);
   if (k == 0) return {};
+  const tensor::kernels::Backend& kern = tensor::kernels::Active();
   // Per-thread scratch: after warm-up a call allocates only its result.
-  static thread_local std::vector<T> group_max;
-  static thread_local std::vector<Candidate<T>> kept;
+  static thread_local std::vector<T> maxima;
+  static thread_local std::vector<std::uint32_t> survivors;
+  static thread_local std::vector<Key> keys;
+  static thread_local std::vector<std::uint32_t> order;
+  static thread_local std::vector<Count<T>> tied;
 
-  // Bound the k-th best score from below in one pass. Element i belongs to
-  // group i mod k; the k group maxima are k distinct elements, so the k-th
-  // best score is at least the smallest of them, and nothing below that
-  // floor can rank in the top k. NaN never raises a maximum, so the floor
-  // is never NaN; a group of only NaN (or -inf) leaves it at -inf.
-  group_max.assign(k, -std::numeric_limits<T>::infinity());
-  T* maxima = group_max.data();
-  for (std::size_t base = 0; base < n; base += k) {
-    const T* row = scores + base;
-    const std::size_t len = std::min(k, n - base);
-    for (std::size_t g = 0; g < len; ++g) {
-      maxima[g] = row[g] > maxima[g] ? row[g] : maxima[g];
+  T floor = -std::numeric_limits<T>::infinity();
+  if (k <= kMaxRankedK) {
+    const std::size_t lanes = (k + 7) / 8 * 8 + 8;
+    maxima.resize(lanes);
+    if constexpr (std::is_same_v<T, float>) {
+      kern.lane_max_f32(scores, n, lanes, maxima.data());
+    } else {
+      kern.lane_max_f64(scores, n, lanes, maxima.data());
     }
+    floor = KthLargest(maxima.data(), lanes, k);
   }
-  T floor = maxima[0];
-  for (std::size_t g = 1; g < k; ++g) {
-    floor = maxima[g] < floor ? maxima[g] : floor;
+  survivors.resize(n + 8);
+  std::size_t m = 0;
+  if constexpr (std::is_same_v<T, float>) {
+    m = kern.select_ge_f32(scores, n, floor, survivors.data());
+  } else {
+    m = kern.select_ge_f64(scores, n, floor, survivors.data());
   }
+  // Padded with the least key, which no number's key equals or falls
+  // below, to a whole number of vectors: the rank's compare loop then has
+  // one trip count per row and no remainder.
+  const std::size_t padded = (m + 15) / 16 * 16;
+  keys.resize(padded);
+  for (std::size_t i = 0; i < m; ++i) keys[i] = OrderKey(scores[survivors[i]]);
+  std::fill(keys.begin() + m, keys.end(), std::numeric_limits<Key>::min());
 
-  // Keep the numbers at or above the floor, branch-free. At least k survive
-  // unless the floor is -inf, in which case every number does.
-  kept.resize(n);
-  Candidate<T>* out = kept.data();
-  std::size_t survivors = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[survivors] = {scores[i], i};
-    survivors += scores[i] >= floor;
+  // order[r] = the survivor (position in `survivors`) ranked r-th.
+  const std::size_t ranked = std::min(k, m);
+  order.resize(ranked + 1);
+  const Key* key = keys.data();
+  if (k <= kMaxRankedK && m <= kMaxRankedSurvivors) {
+    // Survivors with equal keys count the same greater keys; taken in
+    // index order, each adds the number of its equals already placed
+    // (tied[greater]), so ties rank by index. Ranks past the result land
+    // in the spare last slot.
+    tied.assign(m, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      const Key ki = key[i];
+      Count<T> greater = 0;
+      for (std::size_t j = 0; j < padded; ++j) greater += key[j] > ki;
+      const std::size_t rank = greater + tied[greater]++;
+      order[std::min(rank, ranked)] = static_cast<std::uint32_t>(i);
+    }
+  } else {
+    order.resize(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      order[i] = static_cast<std::uint32_t>(i);
+    }
+    const auto ahead = [key](std::uint32_t a, std::uint32_t b) {
+      return key[a] > key[b] || (key[a] == key[b] && a < b);
+    };
+    if (m > k) {
+      std::nth_element(order.begin(), order.begin() + k, order.end(), ahead);
+    }
+    std::sort(order.begin(), order.begin() + ranked, ahead);
   }
-
-  // Exact selection and ordering over the survivors only: higher score
-  // first, ties to the lower index.
-  const auto ahead = [](const Candidate<T>& a, const Candidate<T>& b) {
-    return a.score > b.score || (a.score == b.score && a.index < b.index);
-  };
-  const std::size_t ranked = std::min(k, survivors);
-  if (survivors > k) std::nth_element(out, out + k, out + survivors, ahead);
-  std::sort(out, out + ranked, ahead);
   std::vector<std::size_t> top(k);
-  for (std::size_t j = 0; j < ranked; ++j) top[j] = out[j].index;
+  for (std::size_t j = 0; j < ranked; ++j) top[j] = survivors[order[j]];
   // Fewer than k numbers in the row: NaNs fill the rest in index order.
   for (std::size_t i = 0, j = ranked; j < k && i < n; ++i) {
     if (std::isnan(scores[i])) top[j++] = i;

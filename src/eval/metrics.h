@@ -14,9 +14,10 @@ namespace eval {
 /// ranks first, any number ranks ahead of NaN, and ties (equal scores,
 /// +0 and -0, or two NaNs) go to the lower index. The float form ranks
 /// exactly as the widened double row would (widening is exact and keeps
-/// order). Runs in O(n) plus a sort of the few elements that can reach the
-/// top k, with no per-call allocation beyond the result, whose capacity is
-/// exactly its size.
+/// order). Runs in two O(n) row scans on the kernel backend
+/// (tensor/kernels.h) plus a branch-free rank of the few elements that can
+/// reach the top k (a sort when k > 64), with no per-call allocation beyond
+/// the result, whose capacity is exactly its size. n must fit in 32 bits.
 std::vector<std::size_t> TopK(const float* scores, std::size_t n, std::size_t k);
 std::vector<std::size_t> TopK(const double* scores, std::size_t n,
                               std::size_t k);

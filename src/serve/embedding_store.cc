@@ -11,40 +11,6 @@ namespace smgcn {
 namespace serve {
 
 namespace {
-/// pooled (B x d) times the pre-transposed herb matrix (d x H): the
-/// serving-layout GEMM behind the batched hot path.
-///
-/// Two things make this beat the per-query Matrix::MatMulTransposed loop:
-///   * the inner loop runs over herbs with independent accumulators, so the
-///     compiler vectorises it (the per-query dot product is a serial
-///     dependency chain it may not reassociate);
-///   * a small query block reuses each streamed herb-transpose row across
-///     several queries while the block's output rows stay cache-resident.
-///
-/// Each output element still accumulates its d terms in ascending-k order
-/// starting from 0, the same per-element sum as MatMulTransposed, so every
-/// batch row agrees with the per-query path.
-tensor::Matrix BlockedScoresGemm(const tensor::Matrix& pooled,
-                                 const tensor::Matrix& herbs_t) {
-  const std::size_t batch = pooled.rows();
-  const std::size_t num_herbs = herbs_t.cols();
-  const std::size_t d = pooled.cols();
-  constexpr std::size_t kQueryBlock = 4;
-  tensor::Matrix out(batch, num_herbs, 0.0);
-  for (std::size_t i0 = 0; i0 < batch; i0 += kQueryBlock) {
-    const std::size_t i1 = std::min(i0 + kQueryBlock, batch);
-    for (std::size_t k = 0; k < d; ++k) {
-      const double* ht_row = herbs_t.row_data(k);
-      for (std::size_t i = i0; i < i1; ++i) {
-        const double a = pooled.row_data(i)[k];
-        double* out_row = out.row_data(i);
-        for (std::size_t j = 0; j < num_herbs; ++j) out_row[j] += a * ht_row[j];
-      }
-    }
-  }
-  return out;
-}
-
 /// Narrows a matrix into a flat f32 vector (row-major, same layout).
 /// static_cast<float> rounds to nearest even — the IEEE-754 default — and
 /// is the documented artifact/store narrowing everywhere in this repo.
@@ -310,8 +276,15 @@ tensor::Matrix EmbeddingStore::PoolAndActivateF64(
 
 tensor::Matrix EmbeddingStore::ScoreBatchF64(
     const std::vector<CanonicalQuery>& batch) const {
-  // One B x d * d x H GEMM scores the whole batch (eq. 13).
-  return BlockedScoresGemm(PoolAndActivateF64(batch), herb_embeddings_t_);
+  // One B x d * d x H GEMM scores the whole batch (eq. 13), in the
+  // reference order on every backend; it writes every output element.
+  const tensor::Matrix activations = PoolAndActivateF64(batch);
+  tensor::Matrix scores =
+      tensor::Matrix::Uninitialized(batch.size(), num_herbs());
+  tensor::kernels::Active().gemm_f64(activations.data(),
+                                     herb_embeddings_t_.data(), batch.size(),
+                                     dim(), num_herbs(), scores.data());
+  return scores;
 }
 
 const float* EmbeddingStore::PoolAndActivateF32(

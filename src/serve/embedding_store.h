@@ -14,9 +14,12 @@
 // rows independently in a fixed order), which is what makes the engine's
 // batched and per-query paths interchangeable.
 //
-// Precision: a store is built at one of three precisions.
+// Precision: a store is built at one of three precisions. Every precision
+// scores through the runtime-dispatched kernels (tensor/kernels.h).
 //   * Precision::kFloat64 (the default) is the bit-exact reference: plain
-//     double arithmetic, identical to CheckpointRecommender::Score.
+//     double arithmetic, identical to CheckpointRecommender::Score. Its
+//     score GEMM is the kernels' gemm_f64, which keeps the reference
+//     per-element order (no FMA) on the scalar and AVX2 backends alike.
 //   * Precision::kFloat32 halves the embedding footprint (the checkpoint's
 //     doubles are narrowed once at Build, round-to-nearest-even) and scores
 //     through the runtime-dispatched f32 kernels (tensor/kernels.h —

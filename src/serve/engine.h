@@ -154,8 +154,8 @@ struct ServingEngineOptions {
   /// > 0, a request arriving while this many are already queued is
   /// load-shed immediately with kShedding (`<prefix>shed` counts them)
   /// instead of queueing unboundedly. 0 — the in-process default —
-  /// disables shedding; network front-ends should set it (net::Server
-  /// defaults it to 256).
+  /// disables shedding; network front-ends should set it (the
+  /// smgcn_server example sets 256).
   std::size_t max_queue_depth = 0;
 };
 

@@ -1,8 +1,10 @@
 #include "src/tensor/kernels.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "src/util/logging.h"
 
@@ -61,6 +63,49 @@ void ScalarGemmF32(const float* a, const float* bt, std::size_t b,
       }
     }
   }
+}
+
+void ScalarGemmF64(const double* a, const double* bt, std::size_t b,
+                   std::size_t d, std::size_t h, double* out) {
+  // The f32 GEMM's query-blocked shape: each streamed bt row is reused by a
+  // block of queries while their output rows stay cache-resident, and every
+  // out[i, j] still sums its d terms in ascending-k order from 0.0.
+  constexpr std::size_t kQueryBlock = 4;
+  std::fill(out, out + b * h, 0.0);
+  for (std::size_t i0 = 0; i0 < b; i0 += kQueryBlock) {
+    const std::size_t i1 = std::min(i0 + kQueryBlock, b);
+    for (std::size_t k = 0; k < d; ++k) {
+      const double* bt_row = bt + k * h;
+      for (std::size_t i = i0; i < i1; ++i) {
+        const double aik = a[i * d + k];
+        double* out_row = out + i * h;
+        for (std::size_t j = 0; j < h; ++j) out_row[j] += aik * bt_row[j];
+      }
+    }
+  }
+}
+
+template <typename T>
+void ScalarLaneMax(const T* x, std::size_t n, std::size_t lanes, T* maxima) {
+  std::fill(maxima, maxima + lanes, -std::numeric_limits<T>::infinity());
+  for (std::size_t base = 0; base < n; base += lanes) {
+    const T* row = x + base;
+    const std::size_t len = std::min(lanes, n - base);
+    for (std::size_t l = 0; l < len; ++l) {
+      maxima[l] = row[l] > maxima[l] ? row[l] : maxima[l];
+    }
+  }
+}
+
+template <typename T>
+std::size_t ScalarSelectGe(const T* x, std::size_t n, T floor,
+                           std::uint32_t* idx) {
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    idx[count] = static_cast<std::uint32_t>(i);
+    count += x[i] >= floor;
+  }
+  return count;
 }
 
 std::int32_t ScalarDotS8(const std::int8_t* a, const std::int8_t* b,
@@ -128,12 +173,17 @@ constexpr Backend kScalarBackend = {
     &ScalarDotF32,
     &ScalarGemvF32,
     &ScalarGemmF32,
+    &ScalarGemmF64,
     &ScalarDotS8,
     &ScalarGemvS8,
     &ScalarGemmS8,
     &ScalarGemmS8PackSize,
     &ScalarGemmS8Pack,
     &ScalarGemmS8Packed,
+    &ScalarLaneMax<float>,
+    &ScalarLaneMax<double>,
+    &ScalarSelectGe<float>,
+    &ScalarSelectGe<double>,
 };
 
 std::atomic<bool> g_force_scalar{false};

@@ -1,15 +1,16 @@
-// Runtime-dispatched reduced-precision scoring micro-kernels (f32 + int8).
+// Runtime-dispatched scoring micro-kernels (f64, f32 + int8) and top-k scans.
 //
 // The serving hot loop (SMGCN eq. 13: fused symptom-set embedding dotted
 // against every herb embedding) is a GEMV/GEMM over the transposed-herb
-// layout (d x H, herb-contiguous rows per embedding dim). The double-
-// precision path stays the bit-exact reference in tensor::Matrix /
-// serve::EmbeddingStore; this header is the reduced-precision fast path:
+// layout (d x H, herb-contiguous rows per embedding dim). This header holds
+// every precision's kernel for it:
 //
-//   * `Backend` is a table of f32 micro-kernels (dot, GEMV, batched GEMM)
-//     and int8 micro-kernels (s8 activations x s8 weights, exact i32
+//   * `Backend` is a table of f32 micro-kernels (dot, GEMV, batched GEMM),
+//     int8 micro-kernels (s8 activations x s8 weights, exact i32
 //     accumulation, f32 per-row/per-column scale application on the way
-//     out) over that layout.
+//     out) and the f64 reference GEMM over that layout, plus the two row
+//     scans behind eval::TopK (lane maxima and a compare + left-pack
+//     filter).
 //   * `Active()` picks the widest implementation the *running* CPU supports,
 //     decided once at startup: AVX2+FMA when the CPUID bits are set (the
 //     AVX2 kernels live in kernels_avx2.cc, compiled with -mavx2 -mfma in
@@ -29,6 +30,16 @@
 // AVX2 f32 kernels use FMA, so they are not bit-identical to the scalar
 // f32 fallback (fewer roundings, i.e. slightly *more* accurate); the
 // parity bounds hold for both.
+//
+// The f64 GEMM is the bit-exact reference on every backend: each output
+// starts at 0.0 and adds a[i,k] * bt[k,j] for k ascending, the product
+// rounded before the add (no FMA), exactly the per-element sum of
+// Matrix::MatMulTransposed. Vector lanes are independent outputs, so the
+// AVX2 GEMM equals the scalar one bit for bit (NaN payloads aside: x86
+// keeps one operand's NaN, and the compiler may commute an add).
+//
+// The top-k scans are exact on every backend: lane maxima and >= tests
+// involve no rounding, so their results match the scalar scans exactly.
 //
 // The int8 kernels have a stronger contract: the i32 accumulation is
 // EXACT (integer addition is associative, and the worst-case magnitude
@@ -62,7 +73,8 @@ const char* PrecisionName(Precision precision);
 
 namespace kernels {
 
-/// One kernel implementation set (f32 + int8). All pointers are non-null.
+/// One kernel implementation set (f64, f32, int8 and the top-k scans). All
+/// pointers are non-null.
 struct Backend {
   /// Implementation name for logs/benches: "scalar" or "avx2".
   const char* name;
@@ -81,6 +93,13 @@ struct Backend {
   /// `a` is b x d row-major (pooled queries), `out` is b x h row-major.
   void (*gemm_f32)(const float* a, const float* bt, std::size_t b,
                    std::size_t d, std::size_t h, float* out);
+
+  /// Reference-order f64 GEMM over the same layout:
+  ///   out[i * h + j] = (...((0.0 + a[i*d] * bt[j]) + a[i*d+1] * bt[h+j])...)
+  /// k ascending, each product rounded before its add. Every element of
+  /// `out` is written; its prior contents are ignored.
+  void (*gemm_f64)(const double* a, const double* bt, std::size_t b,
+                   std::size_t d, std::size_t h, double* out);
 
   /// Exact signed-8-bit dot product with i32 accumulation:
   ///   sum_k (i32)a[k] * (i32)b[k]
@@ -132,6 +151,22 @@ struct Backend {
                          const std::int32_t* packed, std::size_t b,
                          std::size_t d, std::size_t h, const float* a_scales,
                          const float* col_scales, float* out);
+
+  /// Top-k floor pass: maxima[l] = the largest x[i] over i with
+  /// i % lanes == l, for l in [0, lanes). NaN never raises a maximum; a lane
+  /// with no number reads -inf. `lanes` is a positive multiple of 8.
+  void (*lane_max_f32)(const float* x, std::size_t n, std::size_t lanes,
+                       float* maxima);
+  void (*lane_max_f64)(const double* x, std::size_t n, std::size_t lanes,
+                       double* maxima);
+
+  /// Top-k filter pass: writes every i in [0, n) with x[i] >= floor (so
+  /// never a NaN) to idx, ascending, and returns how many. `idx` holds
+  /// n + 8 entries: entries past the returned count may be overwritten.
+  std::size_t (*select_ge_f32)(const float* x, std::size_t n, float floor,
+                               std::uint32_t* idx);
+  std::size_t (*select_ge_f64)(const double* x, std::size_t n, double floor,
+                               std::uint32_t* idx);
 };
 
 /// The portable fallback; always available, never uses SIMD intrinsics.

@@ -1,4 +1,5 @@
-// AVX2+FMA implementations of the f32 and int8 scoring micro-kernels.
+// AVX2+FMA implementations of the f64, f32 and int8 scoring micro-kernels
+// and of the top-k row scans.
 //
 // This TU — and only this TU — is compiled with -mavx2 -mfma (see
 // src/CMakeLists.txt), so the intrinsics below are legal here while the
@@ -10,7 +11,8 @@
 // Summation order (f32): each output element accumulates its d terms in
 // ascending-k order in a single lane, matching the scalar kernels' order;
 // the only difference is FMA (one rounding per term instead of two), which
-// the parity tests bound.
+// the parity tests bound. The f64 GEMM keeps the separate multiply and add,
+// so it is bit-identical to the scalar reference.
 //
 // Int8 reduction: k is processed in pairs. The two bt rows' 16-byte tiles
 // are byte-interleaved (_mm_unpacklo/hi_epi8) then sign-extended
@@ -30,6 +32,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 namespace smgcn {
@@ -175,6 +178,108 @@ void Avx2GemmF32(const float* a, const float* bt, std::size_t b,
   for (; i < b; ++i) {
     Avx2GemvF32(a + i * d, bt, d, h, out + i * h);
   }
+}
+
+// ---------------------------------------------------------------------------
+// f64 reference GEMM
+// ---------------------------------------------------------------------------
+//
+// Every lane is one output element that starts at 0.0 and takes
+// add(acc, mul(a[i,k], bt[k,j])) for k ascending: the scalar reference's
+// order and roundings exactly (mul then add, never FMA).
+
+/// One query row against herbs [j0, h): 16-herb tiles (four independent
+/// add chains, enough to cover the add latency), then 4-herb tiles, then
+/// scalar.
+void Avx2GemmF64Row(const double* x, const double* bt, std::size_t d,
+                    std::size_t h, std::size_t j0, double* out) {
+  std::size_t j = j0;
+  for (; j + 16 <= h; j += 16) {
+    __m256d c0 = _mm256_setzero_pd(), c1 = _mm256_setzero_pd();
+    __m256d c2 = _mm256_setzero_pd(), c3 = _mm256_setzero_pd();
+    for (std::size_t k = 0; k < d; ++k) {
+      const double* row = bt + k * h + j;
+      const __m256d v = _mm256_set1_pd(x[k]);
+      c0 = _mm256_add_pd(c0, _mm256_mul_pd(v, _mm256_loadu_pd(row)));
+      c1 = _mm256_add_pd(c1, _mm256_mul_pd(v, _mm256_loadu_pd(row + 4)));
+      c2 = _mm256_add_pd(c2, _mm256_mul_pd(v, _mm256_loadu_pd(row + 8)));
+      c3 = _mm256_add_pd(c3, _mm256_mul_pd(v, _mm256_loadu_pd(row + 12)));
+    }
+    _mm256_storeu_pd(out + j, c0);
+    _mm256_storeu_pd(out + j + 4, c1);
+    _mm256_storeu_pd(out + j + 8, c2);
+    _mm256_storeu_pd(out + j + 12, c3);
+  }
+  for (; j + 4 <= h; j += 4) {
+    __m256d c = _mm256_setzero_pd();
+    for (std::size_t k = 0; k < d; ++k) {
+      c = _mm256_add_pd(c, _mm256_mul_pd(_mm256_set1_pd(x[k]),
+                                         _mm256_loadu_pd(bt + k * h + j)));
+    }
+    _mm256_storeu_pd(out + j, c);
+  }
+  for (; j < h; ++j) {
+    double acc = 0.0;
+    for (std::size_t k = 0; k < d; ++k) acc += x[k] * bt[k * h + j];
+    out[j] = acc;
+  }
+}
+
+/// Register-blocked f64 GEMM: 4 queries x 8 herbs (8 ymm accumulators) per
+/// tile, so each pair of bt loads feeds four queries. Ragged herb and
+/// query edges go through the row helper.
+void Avx2GemmF64(const double* a, const double* bt, std::size_t b,
+                 std::size_t d, std::size_t h, double* out) {
+  std::size_t i = 0;
+  for (; i + 4 <= b; i += 4) {
+    const double* a0 = a + (i + 0) * d;
+    const double* a1 = a + (i + 1) * d;
+    const double* a2 = a + (i + 2) * d;
+    const double* a3 = a + (i + 3) * d;
+    double* o0 = out + (i + 0) * h;
+    double* o1 = out + (i + 1) * h;
+    double* o2 = out + (i + 2) * h;
+    double* o3 = out + (i + 3) * h;
+    std::size_t j = 0;
+    for (; j + 8 <= h; j += 8) {
+      __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
+      __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
+      __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
+      __m256d c30 = _mm256_setzero_pd(), c31 = _mm256_setzero_pd();
+      for (std::size_t k = 0; k < d; ++k) {
+        const double* row = bt + k * h + j;
+        const __m256d b0 = _mm256_loadu_pd(row);
+        const __m256d b1 = _mm256_loadu_pd(row + 4);
+        const __m256d v0 = _mm256_set1_pd(a0[k]);
+        const __m256d v1 = _mm256_set1_pd(a1[k]);
+        const __m256d v2 = _mm256_set1_pd(a2[k]);
+        const __m256d v3 = _mm256_set1_pd(a3[k]);
+        c00 = _mm256_add_pd(c00, _mm256_mul_pd(v0, b0));
+        c01 = _mm256_add_pd(c01, _mm256_mul_pd(v0, b1));
+        c10 = _mm256_add_pd(c10, _mm256_mul_pd(v1, b0));
+        c11 = _mm256_add_pd(c11, _mm256_mul_pd(v1, b1));
+        c20 = _mm256_add_pd(c20, _mm256_mul_pd(v2, b0));
+        c21 = _mm256_add_pd(c21, _mm256_mul_pd(v2, b1));
+        c30 = _mm256_add_pd(c30, _mm256_mul_pd(v3, b0));
+        c31 = _mm256_add_pd(c31, _mm256_mul_pd(v3, b1));
+      }
+      _mm256_storeu_pd(o0 + j, c00);
+      _mm256_storeu_pd(o0 + j + 4, c01);
+      _mm256_storeu_pd(o1 + j, c10);
+      _mm256_storeu_pd(o1 + j + 4, c11);
+      _mm256_storeu_pd(o2 + j, c20);
+      _mm256_storeu_pd(o2 + j + 4, c21);
+      _mm256_storeu_pd(o3 + j, c30);
+      _mm256_storeu_pd(o3 + j + 4, c31);
+    }
+    if (j < h) {
+      Avx2GemmF64Row(a0, bt, d, h, j, o0);
+      Avx2GemmF64Row(a1, bt, d, h, j, o1);
+      Avx2GemmF64Row(a2, bt, d, h, j, o2);
+      Avx2GemmF64Row(a3, bt, d, h, j, o3);
+    }
+  }
+  for (; i < b; ++i) Avx2GemmF64Row(a + i * d, bt, d, h, 0, out + i * h);
 }
 
 // ---------------------------------------------------------------------------
@@ -537,6 +642,123 @@ void Avx2GemmS8Packed(const std::int8_t* a, const std::int8_t* bt,
   Avx2GemmS8Core(a, bt, Align64(packed), b, d, h, a_scales, col_scales, out);
 }
 
+// ---------------------------------------------------------------------------
+// top-k scans
+// ---------------------------------------------------------------------------
+
+/// Lane maxima: each register-wide lane group (8 lanes f32, 4 lanes f64)
+/// strides the row by `lanes`, spreading its blocks over four max chains so
+/// the strided loads overlap instead of waiting on one chain. max(x, acc)
+/// returns acc when x is NaN; the chains merge by value (a zero maximum may
+/// come out as either sign, which no >= test can see). A group's last,
+/// partial register (at most one) finishes in scalar code.
+inline __m256 Load(const float* p) { return _mm256_loadu_ps(p); }
+inline __m256d Load(const double* p) { return _mm256_loadu_pd(p); }
+inline __m256 Max(__m256 a, __m256 b) { return _mm256_max_ps(a, b); }
+inline __m256d Max(__m256d a, __m256d b) { return _mm256_max_pd(a, b); }
+inline void Store(float* p, __m256 v) { _mm256_storeu_ps(p, v); }
+inline void Store(double* p, __m256d v) { _mm256_storeu_pd(p, v); }
+inline __m256 Set1(float v) { return _mm256_set1_ps(v); }
+inline __m256d Set1(double v) { return _mm256_set1_pd(v); }
+
+template <typename T>
+void Avx2LaneMax(const T* x, std::size_t n, std::size_t lanes, T* maxima) {
+  using Vec = decltype(Set1(T{}));
+  constexpr std::size_t kWidth = sizeof(Vec) / sizeof(T);
+  const Vec neg_inf = Set1(-std::numeric_limits<T>::infinity());
+  for (std::size_t v = 0; v < lanes; v += kWidth) {
+    Vec acc0 = neg_inf, acc1 = neg_inf, acc2 = neg_inf, acc3 = neg_inf;
+    std::size_t i = v;
+    for (; i + 3 * lanes + kWidth <= n; i += 4 * lanes) {
+      acc0 = Max(Load(x + i), acc0);
+      acc1 = Max(Load(x + i + lanes), acc1);
+      acc2 = Max(Load(x + i + 2 * lanes), acc2);
+      acc3 = Max(Load(x + i + 3 * lanes), acc3);
+    }
+    for (; i + kWidth <= n; i += lanes) acc0 = Max(Load(x + i), acc0);
+    Store(maxima + v, Max(Max(acc0, acc1), Max(acc2, acc3)));
+    for (std::size_t t = 0; i + t < n && t < kWidth; ++t) {
+      maxima[v + t] = x[i + t] > maxima[v + t] ? x[i + t] : maxima[v + t];
+    }
+  }
+}
+
+
+/// Left-pack table for the filter: entry m lists the set bits of the 8-bit
+/// compare mask m in ascending order as eight i32 lane numbers (unused
+/// lanes 0) ready for vpermd, and how many bits are set.
+struct PackTable {
+  alignas(32) std::int32_t perm[256][8];
+  std::uint8_t count[256];
+};
+
+constexpr PackTable MakePackTable() {
+  PackTable t{};
+  for (unsigned m = 0; m < 256; ++m) {
+    unsigned c = 0;
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      if ((m >> bit) & 1u) t.perm[m][c++] = static_cast<std::int32_t>(bit);
+    }
+    t.count[m] = static_cast<std::uint8_t>(c);
+  }
+  return t;
+}
+
+constexpr PackTable kPackTable = MakePackTable();
+
+/// Stores the indices base + (set bits of `mask`) at out, ascending, as
+/// eight unconditional lanes; returns how many are real.
+inline std::size_t PackIndices(unsigned mask, __m256i base,
+                               std::uint32_t* out) {
+  const __m256i perm = _mm256_load_si256(
+      reinterpret_cast<const __m256i*>(kPackTable.perm[mask]));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_permutevar8x32_epi32(base, perm));
+  return kPackTable.count[mask];
+}
+
+std::size_t Avx2SelectGeF32(const float* x, std::size_t n, float floor,
+                            std::uint32_t* idx) {
+  const __m256 f = _mm256_set1_ps(floor);
+  const __m256i step = _mm256_set1_epi32(8);
+  __m256i base = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const unsigned mask = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_loadu_ps(x + i), f, _CMP_GE_OQ)));
+    count += PackIndices(mask, base, idx + count);
+    base = _mm256_add_epi32(base, step);
+  }
+  for (; i < n; ++i) {
+    idx[count] = static_cast<std::uint32_t>(i);
+    count += x[i] >= floor;
+  }
+  return count;
+}
+
+std::size_t Avx2SelectGeF64(const double* x, std::size_t n, double floor,
+                            std::uint32_t* idx) {
+  const __m256d f = _mm256_set1_pd(floor);
+  const __m256i step = _mm256_set1_epi32(8);
+  __m256i base = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  std::size_t count = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const unsigned lo = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(x + i), f, _CMP_GE_OQ)));
+    const unsigned hi = static_cast<unsigned>(_mm256_movemask_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(x + i + 4), f, _CMP_GE_OQ)));
+    count += PackIndices(lo | (hi << 4), base, idx + count);
+    base = _mm256_add_epi32(base, step);
+  }
+  for (; i < n; ++i) {
+    idx[count] = static_cast<std::uint32_t>(i);
+    count += x[i] >= floor;
+  }
+  return count;
+}
+
 }  // namespace
 
 const Backend* Avx2Backend() {
@@ -545,12 +767,17 @@ const Backend* Avx2Backend() {
       &Avx2DotF32,
       &Avx2GemvF32,
       &Avx2GemmF32,
+      &Avx2GemmF64,
       &Avx2DotS8,
       &Avx2GemvS8,
       &Avx2GemmS8,
       &Avx2GemmS8PackSize,
       &Avx2GemmS8Pack,
       &Avx2GemmS8Packed,
+      &Avx2LaneMax<float>,
+      &Avx2LaneMax<double>,
+      &Avx2SelectGeF32,
+      &Avx2SelectGeF64,
   };
   return &backend;
 }

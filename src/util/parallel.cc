@@ -50,6 +50,24 @@ std::unique_ptr<ThreadPool>& PoolHolder() {
   return pool;
 }
 
+/// Sets the worker count and rebuilds the shared pool to match; the one
+/// place a pool is made. Caller holds config_mu.
+void ConfigureLocked(std::size_t n) {
+  if (n == configured_threads) return;
+  configured_threads = n;
+  PoolHolder().reset();
+  if (n > 1) {
+    PoolHolder() = std::make_unique<ThreadPool>(n - 1, "parallel.worker");
+  }
+}
+
+/// The worker count, resolving an unset one to the hardware (and making
+/// its pool) first. Caller holds config_mu.
+std::size_t ResolveLocked() {
+  if (configured_threads == 0) ConfigureLocked(HardwareThreads());
+  return configured_threads;
+}
+
 thread_local bool in_parallel_region = false;
 
 /// Per-call shared state. Helpers that arrive after the caller has returned
@@ -97,18 +115,14 @@ void SetNumThreads(std::size_t n) {
   if (n == 0) n = HardwareThreads();
   Metrics().workers->Set(static_cast<double>(n));
   std::lock_guard<std::mutex> lock(config_mu);
-  if (n == configured_threads) return;
-  configured_threads = n;
-  PoolHolder().reset();
-  if (n > 1) PoolHolder() = std::make_unique<ThreadPool>(n - 1, "parallel.worker");
+  ConfigureLocked(n);
 }
 
 std::size_t GetNumThreads() {
   std::size_t n;
   {
     std::lock_guard<std::mutex> lock(config_mu);
-    if (configured_threads == 0) configured_threads = HardwareThreads();
-    n = configured_threads;
+    n = ResolveLocked();
   }
   Metrics().workers->Set(static_cast<double>(n));
   return n;
@@ -175,14 +189,7 @@ void ParallelFor(std::size_t begin, std::size_t end, std::size_t grain,
   std::size_t threads = 1;
   if (!in_parallel_region && n > grain) {
     std::lock_guard<std::mutex> lock(config_mu);
-    if (configured_threads == 0) {
-      configured_threads = HardwareThreads();
-      if (configured_threads > 1) {
-        PoolHolder() =
-            std::make_unique<ThreadPool>(configured_threads - 1, "parallel.worker");
-      }
-    }
-    threads = configured_threads;
+    threads = ResolveLocked();
     pool = PoolHolder().get();
   }
   // A few chunks per thread so uneven rows (e.g. CSR) still balance, but

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -312,6 +314,143 @@ TEST(KernelsInt8Test, PrepackedGemmBitIdenticalToUnpacked) {
       }
     }
   }
+}
+
+// --------------------------------------------------------------------------
+// f64 GEMM and top-k scans: the AVX2 backend against the scalar reference
+// --------------------------------------------------------------------------
+
+/// A value stream mixing normals with every special class the f64 GEMM
+/// and the scans must carry through unchanged: NaN, +-inf, +-0 and
+/// subnormals (half the values are special).
+double SpecialOrNormal(Rng* rng) {
+  switch (rng->UniformInt(0, 11)) {
+    case 0:
+      return std::numeric_limits<double>::quiet_NaN();
+    case 1:
+      return std::numeric_limits<double>::infinity();
+    case 2:
+      return -std::numeric_limits<double>::infinity();
+    case 3:
+      return 0.0;
+    case 4:
+      return -0.0;
+    case 5:
+      return std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(rng->UniformInt(-1000, 1000));
+    default:
+      return rng->Normal(0.0, 1.0);
+  }
+}
+
+/// Bitwise equality, except that any two NaNs match: x86 keeps one
+/// operand's NaN payload and the compiler may commute an add, so payload
+/// bits are not part of either backend's contract.
+bool SameBits(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  std::uint64_t ua = 0, ub = 0;
+  std::memcpy(&ua, &a, sizeof ua);
+  std::memcpy(&ub, &b, sizeof ub);
+  return ua == ub;
+}
+
+TEST(KernelsF64Test, GemmBitIdenticalAcrossBackends) {
+  if (!SimdAvailable()) GTEST_SKIP() << "no SIMD backend on this CPU";
+  Rng rng(31);
+  for (const bool special : {false, true}) {
+    for (std::size_t b : {1u, 3u, 4u, 5u, 17u}) {
+      for (std::size_t h : {1u, 7u, 8u, 9u, 753u}) {
+        for (std::size_t d : {1u, 63u, 64u}) {
+          std::vector<double> a(b * d), bt(d * h);
+          const auto draw = [&] {
+            return special ? SpecialOrNormal(&rng) : rng.Normal(0.0, 1.0);
+          };
+          for (double& x : a) x = draw();
+          for (double& x : bt) x = draw();
+          std::vector<double> scalar(b * h, -1.0), simd(b * h, -2.0);
+          ScalarBackend().gemm_f64(a.data(), bt.data(), b, d, h,
+                                   scalar.data());
+          Avx2Backend()->gemm_f64(a.data(), bt.data(), b, d, h, simd.data());
+          for (std::size_t e = 0; e < scalar.size(); ++e) {
+            ASSERT_TRUE(SameBits(scalar[e], simd[e]))
+                << "b=" << b << " d=" << d << " h=" << h << " at " << e
+                << ": " << scalar[e] << " vs " << simd[e];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsF64Test, ScalarGemmIsTheReferenceSum) {
+  // The scalar backend is the reference order itself: 0.0 plus each
+  // a[i,k] * bt[k,j] for k ascending, products rounded before the add.
+  Rng rng(32);
+  const std::size_t b = 5, d = 63, h = 9;
+  std::vector<double> a(b * d), bt(d * h), out(b * h);
+  for (double& x : a) x = rng.Normal(0.0, 1.0);
+  for (double& x : bt) x = rng.Normal(0.0, 1.0);
+  ScalarBackend().gemm_f64(a.data(), bt.data(), b, d, h, out.data());
+  for (std::size_t i = 0; i < b; ++i) {
+    for (std::size_t j = 0; j < h; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < d; ++k) {
+        acc += a[i * d + k] * bt[k * h + j];
+      }
+      ASSERT_TRUE(SameBits(acc, out[i * h + j])) << i << "," << j;
+    }
+  }
+}
+
+template <typename T>
+void ExpectScansMatchScalar(std::uint64_t seed) {
+  Rng rng(seed);
+  const Backend& scalar = ScalarBackend();
+  const Backend& simd = *Avx2Backend();
+  for (std::size_t n : {1u, 7u, 8u, 9u, 31u, 40u, 753u}) {
+    std::vector<T> x(n);
+    for (T& v : x) v = static_cast<T>(SpecialOrNormal(&rng));
+    for (std::size_t lanes : {8u, 16u, 24u, 32u, 72u}) {
+      std::vector<T> want(lanes), got(lanes);
+      if constexpr (sizeof(T) == 4) {
+        scalar.lane_max_f32(x.data(), n, lanes, want.data());
+        simd.lane_max_f32(x.data(), n, lanes, got.data());
+      } else {
+        scalar.lane_max_f64(x.data(), n, lanes, want.data());
+        simd.lane_max_f64(x.data(), n, lanes, got.data());
+      }
+      // Equal as values: a zero maximum may carry either sign.
+      for (std::size_t l = 0; l < lanes; ++l) {
+        ASSERT_EQ(want[l], got[l])
+            << "n=" << n << " lanes=" << lanes << " l=" << l;
+        ASSERT_FALSE(std::isnan(got[l]));
+      }
+    }
+    for (const T floor :
+         {-std::numeric_limits<T>::infinity(), T(-0.0), T(0.0), T(0.5),
+          std::numeric_limits<T>::infinity()}) {
+      std::vector<std::uint32_t> want(n + 8), got(n + 8);
+      std::size_t want_n = 0, got_n = 0;
+      if constexpr (sizeof(T) == 4) {
+        want_n = scalar.select_ge_f32(x.data(), n, floor, want.data());
+        got_n = simd.select_ge_f32(x.data(), n, floor, got.data());
+      } else {
+        want_n = scalar.select_ge_f64(x.data(), n, floor, want.data());
+        got_n = simd.select_ge_f64(x.data(), n, floor, got.data());
+      }
+      ASSERT_EQ(want_n, got_n) << "n=" << n << " floor=" << floor;
+      want.resize(want_n);
+      got.resize(got_n);
+      EXPECT_EQ(want, got) << "n=" << n << " floor=" << floor;
+      for (std::uint32_t i : got) ASSERT_GE(x[i], floor);
+    }
+  }
+}
+
+TEST(KernelsTopKScanTest, LaneMaxAndFilterMatchScalar) {
+  if (!SimdAvailable()) GTEST_SKIP() << "no SIMD backend on this CPU";
+  ExpectScansMatchScalar<float>(33);
+  ExpectScansMatchScalar<double>(34);
 }
 
 TEST(KernelsInt8Test, QuantizeRoundTripIsExact) {

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <latch>
 #include <limits>
@@ -130,6 +131,27 @@ TEST_F(ParallelTest, RunBlocksFinishesWithEveryWorkerBusy) {
   EXPECT_EQ(outside_region.load(), 0);
   EXPECT_EQ(nested_total.load(), 7 * 64);
   EXPECT_GE(inline_runs->value() - inline_before, 7u);
+}
+
+// A process whose first parallel call is GetNumThreads() (every serving
+// engine sized from the hardware makes that call) must still get the shared
+// pool: ParallelFor over more than its grain fans out. Runs in a fresh
+// process, where nothing has resolved the worker count yet.
+TEST(ParallelFreshProcessTest, GetNumThreadsFirstStillFansOut) {
+  if (parallel::HardwareThreads() < 2) {
+    GTEST_SKIP() << "one hardware thread: nothing can fan out";
+  }
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        obs::Counter* fanout =
+            obs::Registry::Global().GetCounter("parallel.fanout_runs");
+        const std::uint64_t before = fanout->value();
+        parallel::GetNumThreads();
+        parallel::ParallelFor(0, 1000, 10, [](std::size_t, std::size_t) {});
+        std::exit(fanout->value() > before ? 0 : 1);
+      },
+      testing::ExitedWithCode(0), "");
 }
 
 // --------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include "src/eval/metrics.h"
 #include "src/graph/csr_matrix.h"
 #include "src/nn/loss.h"
+#include "src/tensor/kernels.h"
 #include "src/tensor/matrix.h"
 #include "src/util/random.h"
 
@@ -265,6 +266,88 @@ TEST_P(TopKProperty, FloatRowsMatchStableSort) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopKProperty, testing::Values(3, 17, 29));
+
+// The same stable-sort oracle over every short row length, the real herb
+// count and the k values around each SIMD width, on rows built from heavy
+// ties and the special values (NaN, +-inf, +-0), under both kernel
+// dispatch outcomes: the scalar backend's scans are the reference the
+// dispatched ones must reproduce.
+template <typename T>
+std::vector<T> MakeEdgeRow(int shape, std::size_t n, Rng* rng) {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T inf = std::numeric_limits<T>::infinity();
+  const T special[] = {nan, inf, -inf, T(0.0), T(-0.0), T(1.0), T(-1.0)};
+  std::vector<T> row(n);
+  for (T& v : row) {
+    switch (shape) {
+      case 0:  // distinct-ish numbers
+        v = static_cast<T>(rng->Normal(0.0, 1.0));
+        break;
+      case 1:  // three tied levels
+        v = static_cast<T>(rng->UniformInt(-1, 1));
+        break;
+      case 2:  // only the special values
+        v = special[rng->UniformInt(0, 6)];
+        break;
+      case 3:  // mostly NaN
+        v = rng->Bernoulli(0.8) ? nan : static_cast<T>(rng->Normal(0.0, 1.0));
+        break;
+      default:  // signed zeros and infinities among numbers
+        v = rng->Bernoulli(0.5) ? special[rng->UniformInt(1, 4)]
+                                : static_cast<T>(rng->Normal(0.0, 1.0));
+        break;
+    }
+  }
+  return row;
+}
+
+template <typename T>
+void CheckTopKEdgeCases(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 40; ++n) lengths.push_back(n);
+  lengths.push_back(753);
+  for (const std::size_t n : lengths) {
+    for (int shape = 0; shape < 5; ++shape) {
+      const std::vector<T> row = MakeEdgeRow<T>(shape, n, &rng);
+      for (const std::size_t k :
+           {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+            std::size_t{20}, std::size_t{33}, n - 1, n, n + 5}) {
+        const std::vector<std::size_t> got = eval::TopK(row.data(), n, k);
+        ASSERT_EQ(got, StableSortTopK(row, k))
+            << "n=" << n << " k=" << k << " shape=" << shape
+            << " backend=" << tensor::kernels::ActiveName();
+        ASSERT_EQ(got.capacity(), got.size());
+      }
+    }
+  }
+}
+
+class TopKDispatchProperty : public testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    previous_ = tensor::kernels::ScalarForced();
+    tensor::kernels::ForceScalar(GetParam());
+  }
+  void TearDown() override { tensor::kernels::ForceScalar(previous_); }
+
+ private:
+  bool previous_ = false;
+};
+
+TEST_P(TopKDispatchProperty, DoubleEdgeRowsMatchStableSort) {
+  CheckTopKEdgeCases<double>(41);
+}
+
+TEST_P(TopKDispatchProperty, FloatEdgeRowsMatchStableSort) {
+  CheckTopKEdgeCases<float>(43);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, TopKDispatchProperty,
+                         testing::Values(false, true),
+                         [](const testing::TestParamInfo<bool>& info) {
+                           return info.param ? "ForcedScalar" : "Dispatched";
+                         });
 
 // --------------------------------------------------------------------------
 // Loss invariants over random instances
